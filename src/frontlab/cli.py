@@ -95,7 +95,7 @@ def _cmd_simulate(args) -> int:
     print(f"done: {diag.n_steps} steps, {diag.final_cells} cells, "
           f"{diag.clamp_events} clamp events, {diag.growth_events} growths"
           + (", TRUNCATED" if diag.truncated else ""))
-    return EXIT_OK
+    return EXIT_RUNTIME if diag.truncated else EXIT_OK
 
 
 def _cmd_preset(args) -> int:

@@ -1,45 +1,28 @@
 """Hot numeric kernels: tridiagonal solve and the theta-weighted diffusion step.
 
-Two interchangeable backends:
-
-  * a loop-fused kernel compiled with numba's @njit (default when numba
-    imports cleanly), and
-  * a pure-numpy fallback (vectorized right-hand side, Python-loop Thomas
-    elimination).
-
-Set ``FRONTLAB_DISABLE_NUMBA=1`` in the environment to force the fallback.
-Both backends implement identical arithmetic in identical order, so results
-agree to the last bit; ``benchmarks/bench_kernels.py`` compares their speed.
-
-The linear system solved each step is (I - theta*mu*L) u_new = rhs with
-mu = dt/dx**2 and L the 3-point Laplacian stencil, closed by a reflecting
-(zero-flux) row on the left and a pinned Dirichlet row on the right.  The
-matrix is strictly diagonally dominant for theta in [1/2, 1], so the Thomas
-elimination never meets a zero pivot; the check is purely defensive.
+Each step solves (I - theta*mu*L) u_new = rhs, mu = dt/dx**2, L the 3-point
+Laplacian, with a reflecting (zero-flux) row on the left and a pinned
+Dirichlet row on the right.  The matrix is strictly diagonally dominant for
+theta in [1/2, 1], so the zero-pivot check is purely defensive.  It depends
+only on (n, mu, theta): ``_factor`` computes its Thomas pivots once, and a
+step is left with two first-order linear recurrences (the elimination and
+the back-substitution).  Each is evaluated by recursive doubling (Stone
+1973) in about log2(n) vector passes instead of an n-step Python loop.  The
+cache per grid holds two work arrays, a scalar and a short array per pass,
+not the O(n log n) coefficient products of every pass.
+numpy only: importing scipy.linalg for its banded solvers would double the
+resident memory of a small run and add about 0.3 s to start-up.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
-_DISABLED_BY_ENV = os.environ.get("FRONTLAB_DISABLE_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on")
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    numba = None
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and not _DISABLED_BY_ENV
-
-
-def _thomas_impl(lower, diag, upper, rhs):
-    # Thomas elimination; lower/upper have length n-1.
+def thomas_solve(lower, diag, upper, rhs):
+    # Thomas elimination for general bands; lower/upper have length n-1.
     n = diag.shape[0]
     cp = np.empty(n, dtype=np.float64)
     dp = np.empty(n, dtype=np.float64)
@@ -61,76 +44,91 @@ def _thomas_impl(lower, diag, upper, rhs):
     return x
 
 
-def _theta_step_fused_impl(u, f_u, mu, theta, right_value):
-    # One IMEX step, fully fused: explicit reaction increment f_u (already
-    # multiplied by dt), theta-implicit diffusion, reflecting left boundary,
-    # pinned right boundary.  Row n-1 is the identity row u = right_value.
-    n = u.shape[0]
-    omt = (1.0 - theta) * mu
+def _plan(coef, s, g, tmp):
+    # Passes of the scan g[i] += coef[i] * g[i-1] on the work array g: the
+    # pass with stride k adds g[i-k] times the product of the k coefficients
+    # ending at i.  Away from row 0 the pivots sit at their fixed point, so
+    # that product is the scalar s**k outside a short range [lo, hi), which
+    # is kept.  Passes stop once every product has underflowed to exactly 0,
+    # as later ones would not change a bit.
+    n = coef.shape[0]
+    prod = coef.copy()
+    passes = []
+    k = 1
+    while k < n and prod[k:].any():
+        off = np.flatnonzero(prod[k:] != s) + k
+        lo, hi = (int(off[0]), int(off[-1]) + 1) if off.size else (k, k)
+        passes.append((g[:n - k], float(s), tmp[:n - k], g[lo - k:hi - k],
+                       prod[lo:hi].copy(), tmp[lo - k:hi - k], g[k:]))
+        prod[k:] *= prod[:-k]
+        s = s * s
+        k *= 2
+    return passes
+
+
+def _scan(passes):
+    # Recursive doubling in place; each pass reads only values from before it.
+    for src, s, tmp, head_src, head_prod, head_tmp, dst in passes:
+        np.multiply(src, s, out=tmp)
+        np.multiply(head_src, head_prod, out=head_tmp)
+        dst += tmp
+
+
+@lru_cache(maxsize=4)
+def _factor(n, mu, theta):
+    # Thomas pivots of the step matrix for n cells.  Returns 1/piv of rows
+    # 0..n-2 (row n-1 is the identity) as the first rows' values and the
+    # fixed-point value of the rest, then the work array and scan plan of
+    # the elimination, coefficient a = tm/piv (a[0] = 0), and of the
+    # back-substitution, coefficient c = -cp in reverse row order after a 0.
     tm = theta * mu
     b_in = 1.0 + 2.0 * tm
-    cp = np.empty(n, dtype=np.float64)
-    dp = np.empty(n, dtype=np.float64)
-
-    # forward sweep, generating rhs entries on the fly
-    rhs0 = u[0] + f_u[0] + omt * (2.0 * u[1] - 2.0 * u[0])
+    piv = np.empty(n - 1, dtype=np.float64)
+    cp = np.empty(n - 1, dtype=np.float64)
+    piv[0] = b_in
     cp[0] = -2.0 * tm / b_in
-    dp[0] = rhs0 / b_in
+    m = n - 1
     for i in range(1, n - 1):
-        rhs_i = u[i] + f_u[i] + omt * (u[i - 1] - 2.0 * u[i] + u[i + 1])
-        piv = b_in - (-tm) * cp[i - 1]
-        if piv == 0.0:
+        piv[i] = b_in - (-tm) * cp[i - 1]
+        if piv[i] == 0.0:
             raise ZeroDivisionError("zero pivot in tridiagonal solve")
-        cp[i] = -tm / piv
-        dp[i] = (rhs_i - (-tm) * dp[i - 1]) / piv
-    cp[n - 1] = 0.0
-    dp[n - 1] = right_value  # identity row: pivot 1, no coupling
+        cp[i] = -tm / piv[i]
+        if cp[i] == cp[i - 1]:
+            # the pivot recurrence has reached its fixed point exactly
+            piv[i:], cp[i:], m = piv[i], cp[i], i
+            break
+    inv_piv = 1.0 / piv
+    a = tm * inv_piv
+    a[0] = 0.0
+    c = np.empty(n, dtype=np.float64)
+    c[0] = 0.0
+    c[1:] = -cp[::-1]
+    # each sweep's work array is the other sweep's scratch space
+    d, x = np.empty(n - 1), np.empty(n)
+    return (inv_piv[:m].copy(), float(inv_piv[-1]),
+            d, _plan(a, a[-1], d, x), x, _plan(c, c[1], x, d))
 
-    out = np.empty(n, dtype=np.float64)
-    out[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        out[i] = dp[i] - cp[i] * out[i + 1]
-    return out
 
+def theta_step(u, f_u, mu, theta, right_value):
+    """One IMEX step: explicit reaction increment ``f_u`` (already multiplied
+    by dt), theta-implicit diffusion, reflecting left and pinned right
+    boundary.  Returns a new array whose last entry is ``right_value``.
 
-def _theta_step_numpy(u, f_u, mu, theta, right_value):
-    # Fallback: vectorized rhs, loop Thomas.  Same arithmetic order as the
-    # fused kernel so both backends agree bitwise.
-    n = u.shape[0]
+    The step works in buffers kept with its factor, so it is not re-entrant.
+    """
+    inv_head, inv_tail, d, fwd, x, bwd = _factor(u.shape[0], mu, theta)
     omt = (1.0 - theta) * mu
-    tm = theta * mu
-    rhs = np.empty(n, dtype=np.float64)
-    rhs[0] = u[0] + f_u[0] + omt * (2.0 * u[1] - 2.0 * u[0])
-    rhs[1:-1] = u[1:-1] + f_u[1:-1] + omt * (u[:-2] - 2.0 * u[1:-1] + u[2:])
-    rhs[-1] = right_value
-    lower = np.full(n - 1, -tm)
-    diag = np.full(n, 1.0 + 2.0 * tm)
-    upper = np.full(n - 1, -tm)
-    upper[0] = -2.0 * tm
-    lower[-1] = 0.0
-    diag[-1] = 1.0
-    return _thomas_impl(lower, diag, upper, rhs)
-
-
-# Backend wiring.  The fused step and the Thomas elimination are compiled
-# when numba is both present and enabled; the plain-Python versions always
-# remain importable for tests and benchmarks.
-thomas_solve_python = _thomas_impl
-theta_step_python = _theta_step_numpy
-
-if HAVE_NUMBA:
-    _njit = numba.njit(cache=True)
-    thomas_solve_numba = _njit(_thomas_impl)
-    theta_step_numba = _njit(_theta_step_fused_impl)
-else:  # pragma: no cover - depends on environment
-    thomas_solve_numba = None
-    theta_step_numba = None
-
-if NUMBA_ENABLED:
-    thomas_solve = thomas_solve_numba
-    theta_step = theta_step_numba
-    BACKEND = "numba"
-else:
-    thomas_solve = thomas_solve_python
-    theta_step = theta_step_python
-    BACKEND = "numpy"
+    np.add(u[:-1], f_u[:-1], out=d)
+    if omt:
+        d[0] += omt * (2.0 * u[1] - 2.0 * u[0])
+        d[1:] += omt * (u[:-2] - 2.0 * u[1:-1] + u[2:])
+    m = inv_head.shape[0]
+    d[:m] *= inv_head
+    d[m:] *= inv_tail
+    _scan(fwd)
+    # back-substitution from the pinned last row down, on a reversed copy:
+    # the scan is about twice as fast on contiguous memory
+    x[0] = right_value
+    x[1:] = d[::-1]
+    _scan(bwd)
+    return x[::-1].copy()

@@ -282,8 +282,9 @@ def run(config: SimulationConfig,
     positions: dict[float, list] = {lam: [] for lam in config.lambdas}
 
     def record_trace(t_now: float):
+        grid = state.grid
         for lam in config.lambdas:
-            x_lam = extract_level_position(state.grid, state.values, lam)
+            x_lam = extract_level_position(grid, state.values, lam)
             times[lam].append(t_now)
             positions[lam].append(x_lam)
 

@@ -149,6 +149,19 @@ class TestCli:
         header = (out_dir / "snapshots.csv").read_text().splitlines()[0]
         assert header == "t,x,u"
 
+    def test_simulate_truncated_exit_three(self, tmp_path, capsys):
+        # a 401-cell domain whose first doubling the cell cap refuses
+        config_path = tmp_path / "capped.cfg"
+        config_path.write_text(MINIMAL.replace(
+            "dx = 0.05", "dx = 0.05\nx_left = -10.0\nx_right = 10.0\ncell_cap = 500"))
+        out_dir = tmp_path / "out"
+        code = main(["simulate", str(config_path), "--out", str(out_dir)])
+        assert code == 3
+        assert "TRUNCATED" in capsys.readouterr().out
+        assert (out_dir / "snapshots.csv").exists()
+        assert (out_dir / "trace_lambda_0.5.csv").exists()
+        assert (out_dir / "fits.txt").exists()
+
     def test_simulate_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 2
 

@@ -1,4 +1,4 @@
-"""Dual-backend kernels: Thomas solve and the fused theta step."""
+"""Kernels: general Thomas solve and the factor-once theta step."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,39 @@ from frontlab import kernels
 from frontlab.errors import InputError, NumericalError
 from frontlab.solver import tridiagonal_solve
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
+
+def step_oracle(u, f_u, mu, theta, right_value):
+    # the theta step as one explicit-band Thomas solve
+    n = u.shape[0]
+    omt, tm = (1.0 - theta) * mu, theta * mu
+    rhs = np.empty(n)
+    rhs[0] = u[0] + f_u[0] + omt * (2.0 * u[1] - 2.0 * u[0])
+    rhs[1:-1] = u[1:-1] + f_u[1:-1] + omt * (u[:-2] - 2.0 * u[1:-1] + u[2:])
+    rhs[-1] = right_value
+    lower = np.full(n - 1, -tm)
+    upper = np.full(n - 1, -tm)
+    diag = np.full(n, 1.0 + 2.0 * tm)
+    upper[0] = -2.0 * tm
+    lower[-1] = 0.0
+    diag[-1] = 1.0
+    return tridiagonal_solve(lower, diag, upper, rhs)
+
+
+def front_profiles(n):
+    # monotone profiles whose tails reach 1e-300: a pure exponential, and a
+    # plateau-and-front shape with the same tail
+    x = np.linspace(0.0, 1.0, n)
+    tail = np.exp(-690.0 * x)
+    return [tail, np.minimum(1.0, 1e3 * tail / (1.0 + np.exp(30.0 * (x - 0.3))))]
+
+
+def assert_close_to_oracle(u, mu, theta):
+    f_u = 0.01 * u * (1.0 - u)
+    out = kernels.theta_step(u, f_u, mu, theta, u[-1])
+    expected = step_oracle(u, f_u, mu, theta, u[-1])
+    assert out[-1] == u[-1]
+    assert np.all(np.abs(out - expected) <= 1e-12 * np.abs(expected))
+    return out, expected
 
 
 class TestThomasSolve:
@@ -47,18 +79,6 @@ class TestThomasSolve:
         with pytest.raises(InputError):
             tridiagonal_solve([1.0], [1.0, 1.0, 1.0], [1.0], [1.0, 1.0, 1.0])
 
-    @needs_numba
-    def test_backends_agree_bitwise(self):
-        rng = np.random.default_rng(7)
-        n = 301
-        lower = rng.uniform(-1.0, 0.0, n - 1)
-        upper = rng.uniform(-1.0, 0.0, n - 1)
-        diag = 2.5 + rng.uniform(0.0, 1.0, n)
-        rhs = rng.uniform(-5.0, 5.0, n)
-        a = kernels.thomas_solve_python(lower, diag, upper, rhs)
-        b = kernels.thomas_solve_numba(lower, diag, upper, rhs)
-        assert np.array_equal(a, b)
-
 
 class TestThetaStep:
     def test_zero_state_fixed_point(self):
@@ -86,19 +106,17 @@ class TestThetaStep:
             out = kernels.theta_step(out, np.zeros_like(out), 1.0, 1.0, out[-1])
         assert np.sum(out) == pytest.approx(np.sum(u), rel=1e-10)
 
-    @needs_numba
-    def test_backends_agree_bitwise(self):
-        rng = np.random.default_rng(11)
-        for theta in (0.5, 0.8, 1.0):
-            u = np.sort(rng.uniform(0.0, 1.0, 257))[::-1].copy()
-            f_u = 0.01 * u * (1.0 - u)
-            a = kernels.theta_step_python(u, f_u, 3.7, theta, u[-1])
-            b = kernels.theta_step_numba(u, f_u, 3.7, theta, u[-1])
-            assert np.array_equal(a, b)
+    @pytest.mark.parametrize("n", [3, 4, 5, 257, 2601])
+    @pytest.mark.parametrize("mu", [5e-4, 0.4, 4.0, 100.0])
+    @pytest.mark.parametrize("theta", [0.5, 0.8, 1.0])
+    def test_matches_thomas_oracle(self, theta, mu, n):
+        for u in front_profiles(n):
+            assert_close_to_oracle(u, mu, theta)
 
-    def test_backend_constants_consistent(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-        if kernels.NUMBA_ENABLED:
-            assert kernels.theta_step is kernels.theta_step_numba
-        else:
-            assert kernels.theta_step is kernels.theta_step_python
+    def test_each_size_gets_its_own_factor(self):
+        # domain growth changes n between steps with the same mu and theta;
+        # a returned state must not change when later steps run
+        results = [assert_close_to_oracle(u, 4.0, 1.0)
+                   for n in (257, 513, 257, 1025) for u in front_profiles(n)]
+        for out, expected in results:
+            assert np.all(np.abs(out - expected) <= 1e-12 * np.abs(expected))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontlab.errors import DomainError, InputError, ParameterError
@@ -78,10 +78,13 @@ class TestPercapitaDefectIdentity:
     """
 
     @given(st.floats(min_value=1e-12, max_value=1.0 - 1e-12))
+    @example(0.04556700040151744)  # 3 ulp when d comes from libm
     @settings(max_examples=300)
     def test_defect_two_ulp(self, s):
         r, alpha = 1.0, 0.4
-        d = (1.0 - math.log(s)) ** alpha
+        # numpy's array log and pow, as in eval_f: libm's scalar log and pow
+        # differ from numpy's SIMD loops by an ulp on some inputs
+        d = ((1.0 - np.log(np.array([s]))) ** alpha)[0]
         upper = r * s / d
         lhs = eval_f(weakly_monostable(alpha), s) + r * s * s / d
         assert abs(lhs - upper) <= 2.0 * np.spacing(upper)
