@@ -9,10 +9,9 @@ algebraic tails.
 """
 
 from .envelope import (OdeProfile, Regime, RegimeClassification,
-                       SubsolutionParams, TravelingBound, classify_regime,
-                       envelope_derivatives, min_wave_speed, ode_envelope,
-                       plateau_edge, predict_level_envelope,
-                       shifted_supersolution, subsolution, supersolution)
+                       SubsolutionParams, classify_regime,
+                       envelope_derivatives, ode_envelope, plateau_edge,
+                       predict_level_envelope, subsolution, supersolution)
 from .initial_data import (Family, InitialDataSpec, algebraic, algebraic_raw,
                            check_growth_conditions, eval_phi0, eval_u0,
                            logarithmic, sub_exponential, u0_inverse)
@@ -22,7 +21,7 @@ from .reaction import (ReactionFamily, ReactionKind, ReactionParams, allee,
                        compare_families_near_zero, eval_f, kpp,
                        verify_hypothesis_bounds, weakly_monostable)
 from .solver import (SimState, SimulationConfig, auto_size_domain, imex_step,
-                     maybe_grow_domain, run, tridiagonal_solve)
+                     maybe_grow_domain, run)
 
 __version__ = "0.1.0"
 
@@ -30,13 +29,13 @@ __all__ = [
     "Family", "FitResult", "InitialDataSpec", "LevelSetTrace", "OdeProfile",
     "ReactionFamily", "ReactionKind", "ReactionParams", "Regime",
     "RegimeClassification", "SimState", "SimulationConfig",
-    "SubsolutionParams", "TravelingBound", "algebraic", "algebraic_raw",
+    "SubsolutionParams", "algebraic", "algebraic_raw",
     "allee", "auto_size_domain", "check_growth_conditions", "classify_regime",
     "compare_families_near_zero", "envelope_derivatives", "eval_f",
     "eval_phi0", "eval_u0", "extract_level_position", "fit_exp_power",
     "fit_linear", "fit_power", "imex_step", "kpp", "logarithmic",
-    "maybe_grow_domain", "min_wave_speed", "ode_envelope", "plateau_edge",
-    "predict_level_envelope", "run", "select_model", "shifted_supersolution",
-    "sub_exponential", "subsolution", "supersolution", "tridiagonal_solve",
+    "maybe_grow_domain", "ode_envelope", "plateau_edge",
+    "predict_level_envelope", "run", "select_model",
+    "sub_exponential", "subsolution", "supersolution",
     "u0_inverse", "verify_hypothesis_bounds", "weakly_monostable",
 ]

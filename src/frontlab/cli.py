@@ -16,15 +16,13 @@ import argparse
 import os
 import sys
 
-from . import presets, reporting
+from . import presets
 from .config import parse_config
 from .envelope import classify_regime
 from .errors import (AnalysisError, CalibrationError, ConfigError,
                      FrontlabError, InputError, NumericalError,
                      ParameterError, SolverError)
 from .initial_data import Family, InitialDataSpec
-from .measurement import select_model
-from .solver import run
 from .verify import SUBJECTS, run_verification
 
 EXIT_OK = 0
@@ -70,27 +68,7 @@ def _cmd_simulate(args) -> int:
         return EXIT_CONFIG
     config = parse_config(text)
     out_dir = args.out or os.path.splitext(os.path.basename(args.config))[0]
-    os.makedirs(out_dir, exist_ok=True)
-    result = run(config)
-    reporting.write_snapshots_csv(os.path.join(out_dir, "snapshots.csv"),
-                                  result.snapshots)
-    trace_files = reporting.write_traces(out_dir, result.traces)
-    entries = []
-    alpha, r = config.reaction.params.alpha, config.reaction.params.r
-    predicted = classify_regime(alpha, config.data)
-    for lam, trace in sorted(result.traces.items()):
-        try:
-            fit, regime = select_model(trace, alpha, r)
-        except (AnalysisError, InputError) as exc:
-            print(f"lambda={lam}: fit skipped ({exc})")
-            continue
-        entries.append((f"lambda_{lam!r}", fit, regime.value))
-        print(f"lambda={lam}: fitted {fit.model} (headline {fit.exponent:.4g}), "
-              f"measured {regime.value}, predicted {predicted.regime.value}")
-    reporting.write_fit_report(os.path.join(out_dir, "fits.txt"), entries)
-    with open(os.path.join(out_dir, "plot.gp"), "w", encoding="ascii") as fh:
-        fh.write(reporting.snapshot_plot_script("snapshots.csv", "simulation"))
-        fh.write(reporting.trace_plot_script(trace_files, "level positions"))
+    result = presets.run_bundle(config, out_dir, "simulation")
     diag = result.diagnostics
     print(f"done: {diag.n_steps} steps, {diag.final_cells} cells, "
           f"{diag.clamp_events} clamp events, {diag.growth_events} growths"

@@ -13,8 +13,8 @@ with a1 = alpha + 1 and phi = -ln(u0).  The formula is valid while the
 bracket stays >= 1, i.e. right of the saturation edge x0(t) where w = 1.
 Everything in this module is a direct evaluation of w, its derivatives, or
 compositions of w with the tail inverse U0: upper barriers (supersolutions),
-the quadratic-cutoff lower barrier (subsolution), the traveling upper bound
-for light tails, level-set envelopes, and the spreading-regime classifier.
+the quadratic-cutoff lower barrier (subsolution), level-set envelopes, and
+the spreading-regime classifier.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CalibrationError, DomainError, EnvelopeDomainError, ParameterError
 from .initial_data import (Family, InitialDataSpec, eval_phi0, phi0_total,
                            position_at_phi)
-from .reaction import ReactionFamily, ReactionParams, eval_f
+from .reaction import ReactionFamily, eval_f
 
 # Relative slack for the bracket >= 1 precondition and for barrier residual
 # sign checks; covers float round-off without hiding real violations.
@@ -55,6 +55,12 @@ def _bracket(profile: OdeProfile, t, phi):
     return (1.0 + phi) ** a1 - profile.rho * a1 * t
 
 
+def _saturate(profile: OdeProfile, br):
+    """L = 1 - ln w and the envelope value w for bracket values ``br``."""
+    L = np.maximum(br, 1.0) ** (1.0 / (profile.alpha + 1.0))
+    return L, np.minimum(np.exp(1.0 - L), 1.0)
+
+
 def ode_envelope(profile: OdeProfile, t: float, x):
     """Envelope value w(t, x) in (0, 1] for x right of the saturation edge.
 
@@ -70,9 +76,7 @@ def ode_envelope(profile: OdeProfile, t: float, x):
         raise EnvelopeDomainError(
             f"envelope undefined left of the saturation edge at t={t}",
             edge=plateau_edge(profile, t))
-    a1 = profile.alpha + 1.0
-    w = np.exp(1.0 - np.maximum(br, 1.0) ** (1.0 / a1))
-    w = np.minimum(w, 1.0)
+    _, w = _saturate(profile, br)
     if np.isscalar(x) or arr.ndim == 0:
         return float(w)
     return w
@@ -110,8 +114,7 @@ def envelope_derivatives(profile: OdeProfile, t: float, x):
             edge=plateau_edge(profile, t))
     al = profile.alpha
     a1 = al + 1.0
-    L = np.maximum(br, 1.0) ** (1.0 / a1)  # = 1 - ln w
-    w = np.minimum(np.exp(1.0 - L), 1.0)
+    L, w = _saturate(profile, br)
     A = (1.0 + phi) ** al
     base = w / L ** al
     wx = -base * dphi * A
@@ -120,104 +123,6 @@ def envelope_derivatives(profile: OdeProfile, t: float, x):
     if np.isscalar(x) or arr.ndim == 0:
         return float(wx), float(wxx)
     return wx, wxx
-
-
-def saturation_curvature(profile: OdeProfile, t: float) -> float:
-    """|w_xx| * (1 - ln w)**alpha / w evaluated at the saturation edge.
-
-    There w = 1 and L = 1, so this is the raw curvature bracket; for tails
-    satisfying the decay conditions it vanishes as t grows.
-    """
-    edge = plateau_edge(profile, t)
-    _, wxx = envelope_derivatives(profile, t, edge)
-    return abs(wxx)
-
-
-# ---------------------------------------------------------------------------
-# Traveling upper bound for sub-exponentially bounded tails
-# ---------------------------------------------------------------------------
-
-def min_wave_speed(params: ReactionParams, mu: float) -> float:
-    """Smallest admissible speed for the traveling tail bound.
-
-    The profile M*exp(-mu*z**p) with p = 1/(alpha+1) satisfies
-    w'' + c w' + f(w) <= 0 for large z once c exceeds
-    2**alpha * r * (alpha+1) / mu**(alpha+1); consumers apply a margin.
-    """
-    if not mu > 0:
-        raise ParameterError(f"decay rate mu must be > 0, got {mu}")
-    return 2.0 ** params.alpha * params.r * (params.alpha + 1.0) / mu ** (params.alpha + 1.0)
-
-
-@dataclass(frozen=True)
-class TravelingBound:
-    """Shifted traveling tail M*exp(-mu*z**p), valid for z >= z0."""
-
-    M: float
-    mu: float
-    alpha: float
-    c: float
-
-    def __post_init__(self):
-        if not self.M > math.e:
-            raise ParameterError(f"amplitude M must exceed e, got {self.M}")
-        if not self.mu > 0:
-            raise ParameterError(f"decay rate mu must be > 0, got {self.mu}")
-        if not self.c > 0:
-            raise ParameterError(f"speed c must be > 0, got {self.c}")
-
-    @property
-    def p(self) -> float:
-        return 1.0 / (self.alpha + 1.0)
-
-    @property
-    def z0(self) -> float:
-        return (math.log(self.M) / self.mu) ** (1.0 / self.p)
-
-
-def traveling_bound(params: ReactionParams, mu: float, M: float | None = None,
-                    margin: float = 1.25) -> TravelingBound:
-    if M is None:
-        M = math.e ** 2
-    c = margin * min_wave_speed(params, mu)
-    return TravelingBound(M=M, mu=mu, alpha=params.alpha, c=c)
-
-
-def traveling_profile(bound: TravelingBound, z):
-    arr = np.asarray(z, dtype=float)
-    if arr.size and np.min(arr) < bound.z0 * (1.0 - _FP_SLACK):
-        raise DomainError(f"profile undefined left of z0 = {bound.z0}")
-    w = bound.M * np.exp(-bound.mu * arr ** bound.p)
-    if np.isscalar(z) or arr.ndim == 0:
-        return float(w)
-    return w
-
-
-def traveling_residual(bound: TravelingBound, family: ReactionFamily, z):
-    """w'' + c*w' + f(w) along the profile; <= 0 where the bound is valid."""
-    arr = np.asarray(z, dtype=float)
-    w = traveling_profile(bound, arr)
-    mu, p, c = bound.mu, bound.p, bound.c
-    wp = -mu * p * arr ** (p - 1.0) * w
-    wpp = (mu * p * (1.0 - p) * arr ** (p - 2.0) + mu ** 2 * p ** 2 * arr ** (2.0 * p - 2.0)) * w
-    res = wpp + c * wp + eval_f(family, np.minimum(w, 1.0))
-    if np.isscalar(z) or arr.ndim == 0:
-        return float(res)
-    return res
-
-
-def calibrate_traveling_speed(bound: TravelingBound, family: ReactionFamily,
-                              z_grid, max_doublings: int = 40) -> TravelingBound:
-    """Double c until the differential inequality holds on the probe grid."""
-    z = np.asarray(z_grid, dtype=float)
-    current = bound
-    for _ in range(max_doublings + 1):
-        res = traveling_residual(current, family, z)
-        if np.all(res <= _FP_SLACK):
-            return current
-        current = replace(current, c=2.0 * current.c)
-    raise CalibrationError(
-        f"traveling-speed doubling did not validate within {max_doublings} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +140,7 @@ def supersolution(profile: OdeProfile, shift: float, t: float, x):
     arr = np.asarray(x, dtype=float)
     phi = phi0_total(profile.data, arr)
     br = _bracket(profile, t + shift, phi)
-    a1 = profile.alpha + 1.0
-    w = np.minimum(np.exp(1.0 - np.maximum(br, 1.0) ** (1.0 / a1)), 1.0)
-    out = np.where(br >= 1.0, w, 1.0)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def shifted_supersolution(profile: OdeProfile, shift: float, t: float, x):
-    """Sharper upper barrier w(t + shift, x - t), with the plateau moved by +t.
-
-    Used with rho = r; the spatial translation absorbs the diffusion flux
-    once w_x + w_xx <= 0 holds (large shift).
-    """
-    if t < 0 or shift < 0:
-        raise DomainError("t and shift must be >= 0")
-    arr = np.asarray(x, dtype=float)
-    phi = phi0_total(profile.data, arr - t)
-    br = _bracket(profile, t + shift, phi)
-    a1 = profile.alpha + 1.0
-    w = np.minimum(np.exp(1.0 - np.maximum(br, 1.0) ** (1.0 / a1)), 1.0)
+    _, w = _saturate(profile, br)
     out = np.where(br >= 1.0, w, 1.0)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
@@ -350,10 +235,7 @@ def subsolution(params: SubsolutionParams, profile: OdeProfile, t: float, x):
     arr = np.asarray(x, dtype=float)
     phi = phi0_total(profile.data, arr)
     br = _bracket(profile, t, phi)
-    a1 = profile.alpha + 1.0
-    w = np.where(br >= 1.0,
-                 np.minimum(np.exp(1.0 - np.maximum(br, 1.0) ** (1.0 / a1)), 1.0),
-                 1.0)
+    w = np.where(br >= 1.0, _saturate(profile, br)[1], 1.0)
     out = np.where(w >= 1.0 / (2.0 * M), 1.0 / (4.0 * M), quadratic_cutoff(w, M))
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: tridiagonal solve and the theta-weighted diffusion step.
+"""Hot numeric kernel: the theta-weighted diffusion step.
 
 Each step solves (I - theta*mu*L) u_new = rhs, mu = dt/dx**2, L the 3-point
 Laplacian, with a reflecting (zero-flux) row on the left and a pinned
@@ -19,29 +19,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-
-def thomas_solve(lower, diag, upper, rhs):
-    # Thomas elimination for general bands; lower/upper have length n-1.
-    n = diag.shape[0]
-    cp = np.empty(n, dtype=np.float64)
-    dp = np.empty(n, dtype=np.float64)
-    piv = diag[0]
-    if piv == 0.0:
-        raise ZeroDivisionError("zero pivot in tridiagonal solve")
-    cp[0] = upper[0] / piv if n > 1 else 0.0
-    dp[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if piv == 0.0:
-            raise ZeroDivisionError("zero pivot in tridiagonal solve")
-        cp[i] = upper[i] / piv if i < n - 1 else 0.0
-        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / piv
-    x = np.empty(n, dtype=np.float64)
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
 
 
 def _plan(coef, s, g, tmp):

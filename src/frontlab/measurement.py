@@ -15,7 +15,6 @@ a common relative-deviation residual with a complexity preference margin.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +99,6 @@ class LevelSetTrace:
             raise InputError(f"unexpected trace header {header!r}")
         data = np.loadtxt(source, delimiter=",", ndmin=2)
         return cls(lam, data[:, 0], data[:, 1])
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
-"""Named experiment presets reproducing the published figure settings.
+"""Named experiment presets and the simulation bundle they share with
+``frontlab simulate``.
 
-Simulation presets (fig3a..fig5d sub-exponential sweeps, fig6a..fig8c
-algebraic sweeps) expand to full ``SimulationConfig`` objects; figure-level
-names (fig3..fig8) run all their panels.  fig1 tabulates the three reaction
+``run_bundle`` runs one configuration and writes its bundle: snapshots,
+level traces, rate fits and a gnuplot script.  Simulation presets
+(fig3a..fig5d sub-exponential sweeps, fig6a..fig8c algebraic sweeps) expand
+to full ``SimulationConfig`` objects and go through it; figure-level names
+(fig3..fig8) run all their panels.  fig1 tabulates the three reaction
 families near zero, fig2 prints the regime classification table, and fig9
 reproduces the three-trace level-set comparison with its literature-fit
 overlay curves.
@@ -21,8 +24,8 @@ from .initial_data import InitialDataSpec, algebraic, sub_exponential
 from .measurement import select_model
 from .reaction import (ReactionParams, compare_families_near_zero,
                        weakly_monostable)
-from .errors import InputError
-from .solver import SimulationConfig, run
+from .errors import AnalysisError, InputError
+from .solver import RunResult, SimulationConfig, run
 
 DX = 0.05
 DT = 0.01
@@ -138,25 +141,36 @@ def get_preset(name: str) -> Preset:
     return PRESETS[name]
 
 
-def _run_simulation_preset(preset: Preset, out_dir: str, log) -> None:
-    result = run(preset.config)
+def run_bundle(config: SimulationConfig, out_dir: str, title: str,
+               log=print) -> RunResult:
+    """Run ``config`` and write its simulation bundle into ``out_dir``.
+
+    The bundle is snapshots.csv, one trace CSV per level, fits.txt and a
+    gnuplot plot.gp titled ``title``.  A trace that no rate model fits is
+    logged as skipped and gets no block in fits.txt.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    result = run(config)
     reporting.write_snapshots_csv(os.path.join(out_dir, "snapshots.csv"),
                                   result.snapshots)
     trace_files = reporting.write_traces(out_dir, result.traces)
-    alpha = preset.config.reaction.params.alpha
-    r = preset.config.reaction.params.r
+    alpha, r = config.reaction.params.alpha, config.reaction.params.r
+    predicted = classify_regime(alpha, config.data)
     entries = []
     for lam, trace in sorted(result.traces.items()):
-        fit, regime = select_model(trace, alpha, r)
-        predicted = classify_regime(alpha, preset.config.data)
+        try:
+            fit, regime = select_model(trace, alpha, r)
+        except (AnalysisError, InputError) as exc:
+            log(f"lambda={lam}: fit skipped ({exc})")
+            continue
         entries.append((f"lambda_{lam!r}", fit, regime.value))
-        log(f"{preset.name}: lambda={lam} fitted {fit.model} "
-            f"(headline {fit.exponent:.4g}), measured {regime.value}, "
-            f"predicted {predicted.regime.value}")
+        log(f"lambda={lam}: fitted {fit.model} (headline {fit.exponent:.4g}), "
+            f"measured {regime.value}, predicted {predicted.regime.value}")
     reporting.write_fit_report(os.path.join(out_dir, "fits.txt"), entries)
     with open(os.path.join(out_dir, "plot.gp"), "w", encoding="ascii") as fh:
-        fh.write(reporting.snapshot_plot_script("snapshots.csv", preset.description))
-        fh.write(reporting.trace_plot_script(trace_files, preset.description))
+        fh.write(reporting.snapshot_plot_script("snapshots.csv", title))
+        fh.write(reporting.trace_plot_script(trace_files, title))
+    return result
 
 
 def _run_fig1(out_dir: str, log) -> None:
@@ -247,7 +261,8 @@ def run_preset(name: str, out_root: str = ".", log=print) -> str:
     elif preset.name == "fig9":
         _run_fig9(out_dir, log)
     else:
-        _run_simulation_preset(preset, out_dir, log)
+        run_bundle(preset.config, out_dir, preset.description,
+                   log=lambda msg: log(f"{preset.name}: {msg}"))
     return out_dir
 
 

@@ -142,26 +142,6 @@ def auto_size_domain(config: SimulationConfig) -> tuple[float, float]:
     return x_left, x_right
 
 
-def tridiagonal_solve(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve the tridiagonal system with off-diagonals ``lower``/``upper``.
-
-    Thomas elimination; exact up to floating point for diagonally dominant
-    systems.  A zero pivot (impossible under dominance) raises
-    ``NumericalError``.
-    """
-    lower = np.ascontiguousarray(lower, dtype=np.float64)
-    diag = np.ascontiguousarray(diag, dtype=np.float64)
-    upper = np.ascontiguousarray(upper, dtype=np.float64)
-    rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-    n = diag.shape[0]
-    if rhs.shape[0] != n or lower.shape[0] != n - 1 or upper.shape[0] != n - 1:
-        raise InputError("tridiagonal bands have inconsistent lengths")
-    try:
-        return kernels.thomas_solve(lower, diag, upper, rhs)
-    except ZeroDivisionError as exc:
-        raise NumericalError("zero pivot in tridiagonal solve") from exc
-
-
 def initialize_state(config: SimulationConfig,
                      initial_values: np.ndarray | None = None) -> SimState:
     x_left, x_right = auto_size_domain(config)

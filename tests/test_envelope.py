@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 
 from frontlab.envelope import (OdeProfile, Regime, SubsolutionParams,
-                               TravelingBound, calibrate_subsolution,
-                               calibrate_supersolution_shift,
-                               calibrate_traveling_speed, classify_regime,
+                               calibrate_subsolution,
+                               calibrate_supersolution_shift, classify_regime,
                                cutoff_edge, envelope_derivatives,
-                               min_wave_speed, ode_envelope, plateau_edge,
+                               ode_envelope, plateau_edge,
                                predict_level_envelope, quadratic_cutoff,
-                               saturation_curvature, shifted_supersolution,
-                               subsolution, supersolution, traveling_bound,
-                               traveling_profile, traveling_residual)
+                               subsolution, supersolution)
 from frontlab.errors import (DomainError, EnvelopeDomainError, ParameterError)
 from frontlab.initial_data import (algebraic, algebraic_raw, eval_u0,
                                    logarithmic, sub_exponential)
-from frontlab.reaction import ReactionParams, weakly_monostable
+from frontlab.reaction import weakly_monostable
 
 SUBEXP = sub_exponential(mu=5.0, beta=0.2)
 ALG = algebraic(beta=1.0, scale=100.0)
@@ -126,55 +123,6 @@ class TestEnvelopeDerivatives:
             wx, wxx = envelope_derivatives(profile, t, xs)
             assert np.all(wx + wxx <= 1e-15)
 
-    def test_saturation_curvature_decays(self):
-        # the algebraic edge position leaves double range past t ~ 7e3, so its
-        # decade sweep stops at 1e3
-        for spec, times in ((SUBEXP, (10.0, 1e2, 1e3, 1e4)),
-                            (ALG, (10.0, 1e2, 1e3))):
-            profile = OdeProfile(1.0, 0.4, spec)
-            values = [saturation_curvature(profile, t) for t in times]
-            assert np.all(np.diff(values) < 0.0)
-            assert values[-1] < values[0] * 1e-2
-
-
-class TestTravelingBound:
-    def test_minimal_speed_values(self):
-        assert min_wave_speed(ReactionParams(r=1.0, alpha=1.0), 1.0) == 4.0
-        # alpha -> 0 limit: 2**0 * 1 * 1 / 1 = 1 (alpha must stay positive)
-        assert min_wave_speed(ReactionParams(r=1.0, alpha=1e-12), 1.0) == \
-            pytest.approx(1.0, rel=1e-9)
-        with pytest.raises(ParameterError):
-            min_wave_speed(ReactionParams(r=1.0, alpha=0.4), 0.0)
-
-    def test_profile_matches_formula_and_domain(self):
-        params = ReactionParams(r=1.0, alpha=0.4)
-        bound = traveling_bound(params, mu=1.0)
-        z = 2.0 * bound.z0
-        assert traveling_profile(bound, z) == pytest.approx(
-            bound.M * math.exp(-bound.mu * z ** bound.p), rel=1e-14)
-        with pytest.raises(DomainError):
-            traveling_profile(bound, 0.5 * bound.z0)
-
-    def test_residual_nonpositive_far_out(self):
-        params = ReactionParams(r=1.0, alpha=0.4)
-        family = weakly_monostable(0.4)
-        bound = traveling_bound(params, mu=1.0, M=math.e ** 2, margin=1.25)
-        z = np.geomspace(50.0, 1e5, 200)
-        assert np.all(traveling_residual(bound, family, z) <= 0.0)
-
-    def test_calibration_covers_compact_region(self):
-        params = ReactionParams(r=1.0, alpha=0.4)
-        family = weakly_monostable(0.4)
-        bound = traveling_bound(params, mu=1.0, M=math.e ** 2, margin=1.25)
-        z = np.geomspace(bound.z0, 1e4, 300)
-        calibrated = calibrate_traveling_speed(bound, family, z)
-        assert calibrated.c >= bound.c
-        assert np.all(traveling_residual(calibrated, family, z) <= 1e-12)
-
-    def test_amplitude_validation(self):
-        with pytest.raises(ParameterError):
-            TravelingBound(M=2.0, mu=1.0, alpha=0.4, c=1.0)  # M must exceed e
-
 
 class TestSupersolution:
     def test_plateau_and_continuity(self):
@@ -215,26 +163,6 @@ class TestSupersolution:
             w = ode_envelope(base, t, x)
             m = supersolution(upper, 4.0, t, x)
             assert np.all(w <= m + 1e-14)
-
-
-class TestShiftedSupersolution:
-    def test_zero_time_matches_unshifted(self):
-        profile = OdeProfile(1.0, 0.4, ALG)
-        x = np.linspace(-2.0, 40.0, 100)
-        assert np.allclose(shifted_supersolution(profile, 3.0, 0.0, x),
-                           supersolution(profile, 3.0, 0.0, x), rtol=1e-14)
-
-    def test_branch_boundary_value_one(self):
-        profile = OdeProfile(1.0, 0.4, ALG)
-        t = 2.5
-        x_star = plateau_edge(profile, t + 3.0) + t
-        assert shifted_supersolution(profile, 3.0, t, x_star) == pytest.approx(1.0, abs=1e-9)
-
-    def test_nondecreasing_in_time_at_fixed_point(self):
-        profile = OdeProfile(1.0, 0.4, ALG)
-        x = 60.0
-        vals = [shifted_supersolution(profile, 3.0, t, x) for t in np.linspace(0, 6, 13)]
-        assert np.all(np.diff(vals) > 0.0)
 
 
 class TestSubsolution:

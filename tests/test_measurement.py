@@ -76,14 +76,18 @@ class TestLevelSetTrace:
         t = np.array([0.0, 0.1, 0.2, 1.0 / 3.0])
         x = np.array([1.0, 1.2345678901234567, 2.0, np.pi])
         trace = LevelSetTrace(0.5, t, x)
-        buf = io.StringIO(trace.csv_text())
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        buf.seek(0)
         back = LevelSetTrace.from_csv(buf, 0.5)
         assert np.array_equal(back.times, t)
         assert np.array_equal(back.positions, x)
 
     def test_csv_header(self):
         trace = LevelSetTrace(0.5, [0.0, 1.0], [0.5, 1.5])
-        assert trace.csv_text().splitlines()[0] == "t,x_lambda"
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        assert buf.getvalue().splitlines()[0] == "t,x_lambda"
 
     def test_window_and_default(self):
         trace = LevelSetTrace(0.5, np.linspace(0, 10, 21), np.linspace(0, 5, 21))

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from frontlab.errors import InputError
+from frontlab.initial_data import sub_exponential
 from frontlab.presets import (FIG9_CURVES, FIG9_RUNS, available_presets,
-                              get_preset, preset_figures, run_preset)
+                              get_preset, preset_figures, run_bundle,
+                              run_preset)
+from frontlab.reaction import weakly_monostable
+from frontlab.solver import SimulationConfig
 
 
 class TestCatalog:
@@ -84,3 +88,22 @@ class TestTablePresets:
             matching = [r for r in rows
                         if r[0] == alpha and abs(float(r[1]) - thr) < 1e-12]
             assert matching and matching[0][2] == "finite_speed"
+
+
+class TestRunBundle:
+    def test_failed_fit_skipped_and_logged(self, tmp_path):
+        # t_end = 0.1 at dt = 0.01 leaves 6 samples in the default window,
+        # fewer than any rate model needs
+        config = SimulationConfig(
+            reaction=weakly_monostable(alpha=0.4),
+            data=sub_exponential(mu=5.0, beta=1.0),
+            dx=0.05, dt=0.01, t_end=0.1, x_left=-10.0, x_right=20.0,
+            snapshot_times=(0.1,), lambdas=(0.5,))
+        messages = []
+        result = run_bundle(config, str(tmp_path), "short run", log=messages.append)
+        trace = result.traces[0.5]
+        assert trace.window(*trace.default_window()).times.size == 6
+        assert len(messages) == 1 and "fit skipped" in messages[0]
+        assert (tmp_path / "fits.txt").read_text() == ""
+        for name in ("snapshots.csv", "trace_lambda_0.5.csv", "plot.gp"):
+            assert (tmp_path / name).exists()
