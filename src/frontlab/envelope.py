@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._scalar import scalar_or_array
 from .errors import CalibrationError, DomainError, EnvelopeDomainError, ParameterError
 from .initial_data import (Family, InitialDataSpec, eval_phi0, phi0_total,
                            position_at_phi)
@@ -77,9 +78,7 @@ def ode_envelope(profile: OdeProfile, t: float, x):
             f"envelope undefined left of the saturation edge at t={t}",
             edge=plateau_edge(profile, t))
     _, w = _saturate(profile, br)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(w)
-    return w
+    return scalar_or_array(arr, w)
 
 
 def plateau_edge(profile: OdeProfile, t: float) -> float:
@@ -120,9 +119,7 @@ def envelope_derivatives(profile: OdeProfile, t: float, x):
     wx = -base * dphi * A
     inner = L ** (-al) + al * L ** (-a1) - al * (1.0 + phi) ** (-a1)
     wxx = base * (dphi ** 2 * A ** 2 * inner - ddphi * A)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(wx), float(wxx)
-    return wx, wxx
+    return scalar_or_array(arr, wx, wxx)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +139,7 @@ def supersolution(profile: OdeProfile, shift: float, t: float, x):
     br = _bracket(profile, t + shift, phi)
     _, w = _saturate(profile, br)
     out = np.where(br >= 1.0, w, 1.0)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(arr, out)
 
 
 def calibrate_supersolution_shift(profile: OdeProfile, family: ReactionFamily,
@@ -237,9 +232,7 @@ def subsolution(params: SubsolutionParams, profile: OdeProfile, t: float, x):
     br = _bracket(profile, t, phi)
     w = np.where(br >= 1.0, _saturate(profile, br)[1], 1.0)
     out = np.where(w >= 1.0 / (2.0 * M), 1.0 / (4.0 * M), quadratic_cutoff(w, M))
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(arr, out)
 
 
 def cutoff_edge(params: SubsolutionParams, profile: OdeProfile, t: float) -> float:

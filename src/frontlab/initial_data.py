@@ -26,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._scalar import scalar_or_array
 from .errors import DomainError, InputError, ParameterError
 
 
@@ -93,9 +94,7 @@ def eval_u0(spec: InitialDataSpec, x):
         out[tail] = xt ** (-spec.beta)
     else:
         out[tail] = np.log(xt) ** (-spec.beta)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(arr, out)
 
 
 def eval_phi0(spec: InitialDataSpec, x):
@@ -132,9 +131,7 @@ def eval_phi0(spec: InitialDataSpec, x):
         phi = b * np.log(L)
         dphi = b / (arr * L)
         ddphi = -b * (1.0 + L) / (arr * L) ** 2
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(phi), float(dphi), float(ddphi)
-    return phi, dphi, ddphi
+    return scalar_or_array(arr, phi, dphi, ddphi)
 
 
 def phi0_total(spec: InitialDataSpec, x):
@@ -144,9 +141,7 @@ def phi0_total(spec: InitialDataSpec, x):
     tail = arr > spec.clamp_point
     if np.any(tail):
         out[tail] = eval_phi0(spec, arr[tail])[0]
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(arr, out)
 
 
 def u0_inverse(spec: InitialDataSpec, z):
@@ -164,9 +159,7 @@ def u0_inverse(spec: InitialDataSpec, z):
         out = arr ** (-1.0 / b)
     else:
         out = np.exp(arr ** (-1.0 / b))
-    if np.isscalar(z) or arr.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(arr, out)
 
 
 def position_at_phi(spec: InitialDataSpec, phi):
@@ -187,9 +180,7 @@ def position_at_phi(spec: InitialDataSpec, phi):
         out = np.exp(arr / b)
     else:
         out = np.exp(np.exp(arr / b))
-    if np.isscalar(phi) or arr.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(arr, out)
 
 
 @dataclass(frozen=True)

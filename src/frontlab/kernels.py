@@ -88,14 +88,18 @@ def _factor(n, mu, theta):
 
 def theta_step(u, f_u, mu, theta, right_value):
     """One IMEX step: explicit reaction increment ``f_u`` (already multiplied
-    by dt), theta-implicit diffusion, reflecting left and pinned right
-    boundary.  Returns a new array whose last entry is ``right_value``.
+    by dt; None for pure diffusion), theta-implicit diffusion, reflecting
+    left and pinned right boundary.  Returns a new array whose last entry is
+    ``right_value``.
 
     The step works in buffers kept with its factor, so it is not re-entrant.
     """
     inv_head, inv_tail, d, fwd, x, bwd = _factor(u.shape[0], mu, theta)
     omt = (1.0 - theta) * mu
-    np.add(u[:-1], f_u[:-1], out=d)
+    if f_u is None:
+        d[:] = u[:-1]
+    else:
+        np.add(u[:-1], f_u[:-1], out=d)
     if omt:
         d[0] += omt * (2.0 * u[1] - 2.0 * u[0])
         d[1:] += omt * (u[:-2] - 2.0 * u[1:-1] + u[2:])

@@ -32,8 +32,9 @@ COMPLEXITY_MARGIN = 1.10
 def extract_level_position(grid, values, lam: float) -> float:
     """Rightmost lambda-crossing of ``values`` on ``grid``, interpolated linearly.
 
-    Scans from the right for the first pair (v[i] >= lam, v[i+1] < lam).
-    Raises ``BelowLevelError`` when the level set is empty and
+    As v[-1] < lam, that is the pair (v[i] >= lam, v[i+1] < lam) at the last
+    index i with v[i] >= lam, found in one comparison pass.  Raises
+    ``BelowLevelError`` when the level set is empty and
     ``FrontExitedDomainError`` when the rightmost value still exceeds lam.
     """
     if not 0 < lam < 1:
@@ -45,10 +46,11 @@ def extract_level_position(grid, values, lam: float) -> float:
     if v[-1] >= lam:
         raise FrontExitedDomainError(
             f"rightmost value {v[-1]} >= level {lam}: front left the domain")
-    crossings = np.nonzero((v[:-1] >= lam) & (v[1:] < lam))[0]
-    if crossings.size == 0:
+    # the last True byte of the mask, searched from the right (a reversed
+    # argmax walks the mask element by element)
+    i = (v >= lam).tobytes().rfind(1)
+    if i < 0:
         raise BelowLevelError(f"no value reaches level {lam}")
-    i = int(crossings[-1])
     return float(g[i] + (g[i + 1] - g[i]) * (v[i] - lam) / (v[i] - v[i + 1]))
 
 

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._scalar import scalar_or_array
 from .errors import DomainError, InputError, ParameterError
 
 # Below this, ln(s) is not worth evaluating: the true rate is under 1e-298
@@ -76,20 +77,32 @@ def allee(alpha: float, r: float = 1.0) -> ReactionFamily:
     return ReactionFamily(ReactionKind.ALLEE, ReactionParams(r, alpha))
 
 
-def _rate_array(kind: ReactionKind, p: ReactionParams, s: np.ndarray) -> np.ndarray:
-    """Reaction rate on a validated array in [0, 1].  No domain checks."""
+def _rate_array(kind: ReactionKind, p: ReactionParams, s: np.ndarray,
+                lo: float) -> np.ndarray:
+    """Reaction rate on a validated 1-D array in [0, 1] whose minimum is ``lo``.
+
+    Each family is one formula over the whole array; the log is taken of s
+    raised to the cutoff, so no log(0) is evaluated.  Cells at or below
+    ``UNDERFLOW_CUTOFF`` are set to 0 afterwards, when ``lo`` shows any.
+    """
     if kind is ReactionKind.KPP:
         return p.r * s * (1.0 - s)
-    out = np.zeros_like(s)
-    live = s > UNDERFLOW_CUTOFF
-    sv = s[live]
     if kind is ReactionKind.WEAKLY_MONOSTABLE:
-        # |ln s| = -ln s on (0, 1]; at s = 1 the factor (1 - s) gives exactly 0.
-        out[live] = p.r * sv * (1.0 - sv) / (1.0 - np.log(sv)) ** p.alpha
+        # r*s*(1 - s) / (1 - ln s)**alpha, operation by operation in place;
+        # |ln s| = -ln s on (0, 1], and at s = 1 the factor (1 - s) gives 0.
+        den = np.maximum(s, UNDERFLOW_CUTOFF)
+        np.log(den, out=den)
+        np.subtract(1.0, den, out=den)
+        den **= p.alpha
+        out = p.r * s
+        out *= 1.0 - s
+        out /= den
     elif kind is ReactionKind.ALLEE:
-        out[live] = p.r * sv ** (p.alpha + 1.0) * (1.0 - sv)
+        out = p.r * s ** (p.alpha + 1.0) * (1.0 - s)
     else:  # pragma: no cover - enum is closed
         raise ParameterError(f"unknown reaction kind {kind}")
+    if lo <= UNDERFLOW_CUTOFF:
+        out[s <= UNDERFLOW_CUTOFF] = 0.0
     return out
 
 
@@ -101,13 +114,16 @@ def eval_f(family: ReactionFamily, s):
     no logarithm of zero is ever taken).
     """
     arr = np.asarray(s, dtype=float)
-    if arr.size and (np.nanmin(arr) < 0.0 or np.nanmax(arr) > 1.0):
+    if not arr.size:
+        return np.zeros_like(arr)
+    # the reductions nanmin/nanmax make, without their Python wrappers
+    lo, hi = np.fmin.reduce(arr, axis=None), np.fmax.reduce(arr, axis=None)
+    if lo < 0.0 or hi > 1.0:
         bad = arr[(arr < 0.0) | (arr > 1.0)].flat[0]
         raise DomainError(f"state value {bad} outside [0, 1]")
-    out = _rate_array(family.kind, family.params, arr)
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(out)
-    return out
+    # 1-D, as arithmetic on a 0-d array gives numpy scalars, which cannot be masked
+    out = _rate_array(family.kind, family.params, arr.reshape(-1), lo)
+    return scalar_or_array(arr, out.reshape(arr.shape))
 
 
 def percapita_bound(params: ReactionParams, s: np.ndarray) -> np.ndarray:

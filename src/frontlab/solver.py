@@ -8,8 +8,11 @@ and Dirichlet on the right, pinned to the undisturbed initial tail value.
 
 The domain is sized from the analytic rate predictions and optionally
 doubles its width whenever the front approaches the right boundary, filling
-new cells with the initial data.  Clamping of the state into [0, 1] is a
-diagnostic safety net: production runs must report zero clamp events.
+new cells with the initial data.  A static domain gets the same test with
+the default margin 0.1: when the front reaches it, the run stops and is
+flagged truncated, as the pinned boundary would otherwise arrest the front
+silently.  Clamping of the state into [0, 1] is a diagnostic safety net:
+production runs must report zero clamp events.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .reaction import ReactionFamily, eval_f
 # Values outside [ -CLAMP_TOL, 1 + CLAMP_TOL ] count as clamp events; values
 # inside the tolerance band are floating-point noise and are clipped silently.
 CLAMP_TOL = 1e-12
+# right-edge fraction watched on a static domain (growth_margin None)
+STATIC_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -37,10 +42,11 @@ class SimulationConfig:
     """Full description of one run.
 
     ``x_left``/``x_right`` may be None, in which case the domain is sized
-    from the regime prediction (see ``auto_size_domain``).  ``growth_margin``
-    of None freezes the domain; otherwise the width doubles whenever the
-    region where u exceeds min(lambdas)/10 enters the given right-edge
-    fraction.  ``reaction`` of None integrates pure diffusion.
+    from the regime prediction (see ``auto_size_domain``).  The width
+    doubles whenever the region where u exceeds min(lambdas)/10 enters the
+    right-edge fraction ``growth_margin``; None freezes the domain, and the
+    run stops, truncated, when that region enters its right 10%.
+    ``reaction`` of None integrates pure diffusion.
     """
 
     reaction: ReactionFamily | None
@@ -91,6 +97,7 @@ class SimState:
     values: np.ndarray
     right_value: float
     clamp_events: int = 0
+    _grid: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -102,7 +109,16 @@ class SimState:
 
     @property
     def grid(self) -> np.ndarray:
-        return self.x_left + self.dx * np.arange(self.n)
+        """Cell positions, built once per domain size and read-only."""
+        if self._grid is None or self._grid.shape[0] != self.n:
+            self._grid = _make_grid(self.x_left, self.dx, self.n)
+        return self._grid
+
+
+def _make_grid(x_left: float, dx: float, n: int) -> np.ndarray:
+    grid = x_left + dx * np.arange(n)
+    grid.flags.writeable = False
+    return grid
 
 
 def auto_size_domain(config: SimulationConfig) -> tuple[float, float]:
@@ -150,7 +166,7 @@ def initialize_state(config: SimulationConfig,
         raise InputError("domain shorter than 3 cells")
     if n > config.cell_cap:
         raise InputError(f"initial domain of {n} cells exceeds cell cap {config.cell_cap}")
-    grid = x_left + config.dx * np.arange(n)
+    grid = _make_grid(x_left, config.dx, n)
     if initial_values is not None:
         values = np.asarray(initial_values, dtype=np.float64).copy()
         if values.shape != grid.shape:
@@ -158,48 +174,54 @@ def initialize_state(config: SimulationConfig,
     else:
         values = eval_u0(config.data, grid)
     return SimState(t=0.0, x_left=x_left, dx=config.dx, values=values,
-                    right_value=float(values[-1]))
+                    right_value=float(values[-1]), _grid=grid)
 
 
-def imex_step(state: SimState, config: SimulationConfig) -> SimState:
-    """Advance one step: explicit reaction, theta-implicit diffusion, clamp."""
+def imex_step(state: SimState, config: SimulationConfig) -> float:
+    """Advance one step: explicit reaction, theta-implicit diffusion, clamp.
+
+    Returns the smallest new value before clamping, NaN when any value is
+    NaN.  The clamp count, clip and floor passes run only when that minimum
+    or the maximum shows a value for them to change.
+    """
     u = state.values
-    if config.reaction is not None:
-        f_u = config.dt * eval_f(config.reaction, u)
-    else:
-        f_u = np.zeros_like(u)
+    f_u = None if config.reaction is None else config.dt * eval_f(config.reaction, u)
     mu = config.dt / config.dx ** 2
     try:
         new = kernels.theta_step(u, f_u, mu, config.theta, state.right_value)
     except ZeroDivisionError as exc:
         raise NumericalError("zero pivot in tridiagonal solve") from exc
-    state.clamp_events += int(np.count_nonzero(
-        (new < -CLAMP_TOL) | (new > 1.0 + CLAMP_TOL)))
-    np.clip(new, 0.0, 1.0, out=new)
-    if config.floor > 0.0:
+    lo, hi = new.min(), new.max()
+    if lo < 0.0 or hi > 1.0:
+        if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
+            state.clamp_events += int(np.count_nonzero(
+                (new < -CLAMP_TOL) | (new > 1.0 + CLAMP_TOL)))
+        np.clip(new, 0.0, 1.0, out=new)
+    if lo < config.floor:
         new[new < config.floor] = 0.0
     state.values = new
     state.t += config.dt
-    return state
+    return float(lo)
 
 
 def maybe_grow_domain(state: SimState, config: SimulationConfig) -> str:
     """Double the domain width when the front nears the right edge.
 
-    Returns "ok" (no growth needed), "grew", or "capped" when the cell cap
-    refuses the extension (the caller should stop and flag truncation).
-    New cells are filled with the initial data; spacing is unchanged.
+    The front nears it when u > min(lambdas)/10 somewhere in the right-edge
+    fraction ``growth_margin`` of the width (``STATIC_MARGIN`` on a static
+    domain).  Returns "ok" (no growth needed), "grew", or "capped" when the
+    domain may not grow: it is static, or the cell cap refuses the
+    extension (the caller should stop and flag truncation).  New cells are
+    filled with the initial data; spacing is unchanged.
     """
+    margin = STATIC_MARGIN if config.growth_margin is None else config.growth_margin
+    edge = state.x_right - margin * ((state.n - 1) * state.dx)
+    # first cell whose position x_left + i*dx (the grid entry) is >= edge
+    start = int(np.searchsorted(state.grid, edge))
+    if not (state.values[start:] > min(config.lambdas) / 10.0).any():
+        return "ok"
     if config.growth_margin is None:
-        return "ok"
-    thresh = min(config.lambdas) / 10.0
-    above = np.nonzero(state.values > thresh)[0]
-    if above.size == 0:
-        return "ok"
-    x_front = state.x_left + above[-1] * state.dx
-    width = (state.n - 1) * state.dx
-    if x_front < state.x_right - config.growth_margin * width:
-        return "ok"
+        return "capped"
     new_n = 2 * state.n - 1
     if new_n > config.cell_cap:
         return "capped"
@@ -271,7 +293,7 @@ def run(config: SimulationConfig,
     snapshots: list[Snapshot] = []
 
     def record_snapshot(t_now: float):
-        snapshots.append(Snapshot(t_now, state.grid.copy(), state.values.copy()))
+        snapshots.append(Snapshot(t_now, state.grid, state.values.copy()))
 
     record_trace(0.0)
     if 0 in snap_steps:
@@ -286,9 +308,9 @@ def run(config: SimulationConfig,
             diag.truncated = True
             diag.truncation_time = state.t
             break
-        imex_step(state, config)
+        lo = imex_step(state, config)
         state.t = k * config.dt  # keep time exact; avoids accumulation drift
-        if np.isnan(state.values).any():
+        if math.isnan(lo):
             raise SolverError(f"NaN in state at t={state.t}", t=state.t)
         if k % config.trace_stride == 0 or k == n_steps:
             record_trace(state.t)

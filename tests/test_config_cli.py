@@ -162,6 +162,18 @@ class TestCli:
         assert (out_dir / "trace_lambda_0.5.csv").exists()
         assert (out_dir / "fits.txt").exists()
 
+    def test_simulate_static_arrest_exit_three(self, tmp_path, capsys):
+        # the front reaches the right 10% of a static [-2, 3] before t = 2
+        config_path = tmp_path / "static.cfg"
+        config_path.write_text(MINIMAL.replace(
+            "dx = 0.05", "dx = 0.05\nx_left = -2.0\nx_right = 3.0\ngrowth = static")
+            .replace("t_end = 8.0", "t_end = 2.0"))
+        out_dir = tmp_path / "out"
+        code = main(["simulate", str(config_path), "--out", str(out_dir)])
+        assert code == 3
+        assert "TRUNCATED" in capsys.readouterr().out
+        assert (out_dir / "snapshots.csv").exists()
+
     def test_simulate_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 2
 

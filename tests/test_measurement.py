@@ -62,6 +62,39 @@ class TestExtractLevelPosition:
               for lam in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert np.all(np.diff(xs) < 0.0)  # higher level sits further left
 
+    @staticmethod
+    def crossing_oracle(grid, values, lam):
+        # the former scan: the last pair (v[i] >= lam, v[i+1] < lam)
+        g, v = np.asarray(grid), np.asarray(values)
+        crossings = np.nonzero((v[:-1] >= lam) & (v[1:] < lam))[0]
+        if crossings.size == 0:
+            raise BelowLevelError("no crossing")
+        i = int(crossings[-1])
+        return float(g[i] + (g[i + 1] - g[i]) * (v[i] - lam) / (v[i] - v[i + 1]))
+
+    @given(values=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.5 + 1e-16, 0.7, 1.0])
+                           | st.floats(min_value=0.0, max_value=1.0),
+                           min_size=1, max_size=60),
+           lam=st.sampled_from([0.1, 0.5, 0.7]) | st.floats(min_value=0.01, max_value=0.99))
+    @settings(max_examples=300)
+    def test_matches_crossing_mask_on_non_monotone_profiles(self, values, lam):
+        v = np.array(values + [0.0])  # v[-1] < lam, else the front has left
+        grid = -3.0 + 0.05 * np.arange(v.size)
+        try:
+            want = self.crossing_oracle(grid, v, lam)
+        except BelowLevelError:
+            with pytest.raises(BelowLevelError):
+                extract_level_position(grid, v, lam)
+            return
+        assert extract_level_position(grid, v, lam) == want
+
+    def test_several_crossings_and_plateau_at_level(self):
+        grid = np.arange(9.0)
+        values = np.array([1.0, 0.5, 0.4, 0.5, 0.5, 0.2, 0.6, 0.1, 0.0])
+        got = extract_level_position(grid, values, 0.5)
+        assert got == self.crossing_oracle(grid, values, 0.5)
+        assert got == pytest.approx(6.0 + 0.1 / 0.5)
+
 
 class TestLevelSetTrace:
     def test_strictly_increasing_times_required(self):

@@ -8,10 +8,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontlab.errors import DomainError, InputError, ParameterError
-from frontlab.reaction import (ReactionParams, allee,
+from frontlab.reaction import (UNDERFLOW_CUTOFF, ReactionKind,
+                               ReactionParams, allee,
                                compare_families_near_zero, eval_f, kpp,
                                log_sample_grid, verify_hypothesis_bounds,
                                weakly_monostable)
+
+# 0, subnormals, the smallest normal, the underflow cutoff and its
+# neighbours, and values at and next to 1
+EDGE_VALUES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+               np.nextafter(UNDERFLOW_CUTOFF, 0.0), UNDERFLOW_CUTOFF,
+               np.nextafter(UNDERFLOW_CUTOFF, 1.0), 1e-299, 0.5,
+               1.0 - 2.0 ** -53, 1.0]
+FAMILIES = (weakly_monostable, kpp, allee)
+
+
+def masked_rate(family, s):
+    """The former evaluation: the rate formula gathered on the cells above
+    the cutoff and scattered back into zeros (no cutoff for KPP)."""
+    p = family.params
+    if family.kind is ReactionKind.KPP:
+        return p.r * s * (1.0 - s)
+    out = np.zeros_like(s)
+    live = s > UNDERFLOW_CUTOFF
+    sv = s[live]
+    if family.kind is ReactionKind.WEAKLY_MONOSTABLE:
+        out[live] = p.r * sv * (1.0 - sv) / (1.0 - np.log(sv)) ** p.alpha
+    else:
+        out[live] = p.r * sv ** (p.alpha + 1.0) * (1.0 - sv)
+    return out
 
 
 class TestEvalF:
@@ -57,6 +82,28 @@ class TestEvalF:
     @given(st.floats(min_value=1e-12, max_value=1.0 - 1e-12))
     def test_positive_inside(self, s):
         assert eval_f(weakly_monostable(0.4), s) > 0.0
+
+    @pytest.mark.parametrize("make", FAMILIES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.4, 0.5, 0.6, 2.0])
+    def test_bitwise_equal_to_masked_formula_dense(self, make, alpha):
+        s = np.concatenate([EDGE_VALUES, np.geomspace(5e-324, 1e-290, 3001),
+                            np.geomspace(1e-290, 1.0, 20_001),
+                            np.linspace(0.0, 1.0, 20_001)])
+        family = make(alpha, r=1.3)
+        assert eval_f(family, s).tobytes() == masked_rate(family, s).tobytes()
+
+    @given(values=st.lists(st.sampled_from(EDGE_VALUES)
+                           | st.floats(min_value=0.0, max_value=1.0),
+                           min_size=1, max_size=70),
+           make=st.sampled_from(FAMILIES),
+           alpha=st.sampled_from([0.4, 0.5]) | st.floats(min_value=0.05, max_value=3.0),
+           r=st.floats(min_value=0.1, max_value=10.0))
+    @settings(max_examples=300)
+    def test_bitwise_equal_to_masked_formula(self, values, make, alpha, r):
+        s = np.array(values)
+        family = make(alpha, r=r)
+        assert eval_f(family, s).tobytes() == masked_rate(family, s).tobytes()
+        assert eval_f(family, values[0]) == masked_rate(family, s[:1])[0]
 
     def test_params_validation(self):
         with pytest.raises(ParameterError):

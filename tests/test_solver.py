@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frontlab import kernels, solver
 from frontlab.errors import InputError, ParameterError, SolverError
 from frontlab.initial_data import (algebraic, algebraic_raw, eval_u0,
                                    sub_exponential)
-from frontlab.reaction import weakly_monostable
-from frontlab.solver import (SimulationConfig, auto_size_domain, imex_step,
-                             initialize_state, maybe_grow_domain, run)
+from frontlab.reaction import eval_f, weakly_monostable
+from frontlab.solver import (CLAMP_TOL, SimState, SimulationConfig,
+                             auto_size_domain, imex_step, initialize_state,
+                             maybe_grow_domain, run)
 
 
 def make_config(**overrides):
@@ -101,6 +105,76 @@ class TestImexStep:
         state = initialize_state(cfg)
         imex_step(state, cfg)
         assert state.t == pytest.approx(cfg.dt)
+
+
+class TestFusedChecks:
+    """imex_step against the former sequence of separate full-array passes."""
+
+    @staticmethod
+    def separate_passes(state, config):
+        # returns (values, clamp events, minimum before clamping)
+        u = state.values
+        if config.reaction is not None:
+            f_u = config.dt * eval_f(config.reaction, u)
+        else:
+            f_u = np.zeros_like(u)
+        new = kernels.theta_step(u, f_u, config.dt / config.dx ** 2,
+                                 config.theta, state.right_value)
+        lo = new.min()
+        events = int(np.count_nonzero((new < -CLAMP_TOL) | (new > 1.0 + CLAMP_TOL)))
+        np.clip(new, 0.0, 1.0, out=new)
+        if config.floor > 0.0:
+            new[new < config.floor] = 0.0
+        return new, events, lo
+
+    CASES = {
+        # name: (values on 801 cells, reaction, floor)
+        "above_one": (np.linspace(1.2, 0.0, 801), None, 1e-300),
+        "below_zero": (np.linspace(1.0, -0.1, 801), None, 1e-300),
+        "noise_band": (np.full(801, 1.0 + 5e-13), None, 1e-300),
+        "floored_tail": (np.geomspace(1.0, 1e-320, 801), weakly_monostable(0.4), 1e-300),
+        "zero_floor": (np.linspace(1.0, -1e-3, 801), None, 0.0),
+        "front": (None, weakly_monostable(0.4), 1e-300),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_separate_passes(self, case):
+        values, reaction, floor = self.CASES[case]
+        cfg = make_config(reaction=reaction, floor=floor)
+        state = initialize_state(cfg)
+        if values is not None:
+            state.values = values.copy()
+            state.right_value = float(values[-1])
+        want, events, lo = self.separate_passes(state, cfg)
+        assert imex_step(state, cfg) == lo
+        assert state.values.tobytes() == want.tobytes()
+        assert state.clamp_events == events
+
+    def test_counts_values_leaving_the_band(self):
+        cfg = make_config(reaction=None)
+        state = initialize_state(cfg)
+        state.values = np.linspace(1.2, -0.1, state.n)
+        state.right_value = -0.1
+        imex_step(state, cfg)
+        assert state.clamp_events > 100
+        assert state.values.min() == 0.0 and state.values.max() == 1.0
+
+    def test_nan_mid_run_raises_with_step_time(self, monkeypatch):
+        real = kernels.theta_step
+        calls = []
+
+        def theta_step(*args):
+            out = real(*args)
+            calls.append(None)
+            if len(calls) == 7:
+                out[100] = np.nan
+            return out
+
+        monkeypatch.setattr(kernels, "theta_step", theta_step)
+        cfg = make_config(t_end=1.0)
+        with pytest.raises(SolverError) as exc_info:
+            run(cfg)
+        assert exc_info.value.t == 7 * cfg.dt
 
 
 class TestHeatKernel:
@@ -195,6 +269,112 @@ class TestDomainGrowth:
         assert result.diagnostics.truncated
         assert result.diagnostics.truncation_time is not None
         assert result.diagnostics.truncation_time < 5.0
+
+
+class TestGrowthDecision:
+    """The right-margin test against the former front-position comparison."""
+
+    @staticmethod
+    def front_in_margin(state, margin, thresh):
+        above = np.nonzero(state.values > thresh)[0]
+        if above.size == 0:
+            return False
+        x_front = state.x_left + above[-1] * state.dx
+        width = (state.n - 1) * state.dx
+        return not x_front < state.x_right - margin * width
+
+    @given(n=st.integers(min_value=3, max_value=400),
+           x_left=st.floats(min_value=-50.0, max_value=50.0),
+           dx=st.floats(min_value=1e-3, max_value=2.0),
+           margin=st.floats(min_value=0.01, max_value=0.99),
+           data=st.data())
+    @settings(max_examples=300)
+    def test_matches_front_position(self, n, x_left, dx, margin, data):
+        cfg = make_config(growth_margin=margin, cell_cap=10 ** 6)
+        edge = x_left + (n - 1) * dx - margin * ((n - 1) * dx)
+        first = next(i for i in range(n) if x_left + i * dx >= edge)
+        # the rightmost cell above min(lambdas)/10 = 0.05 sits near the edge
+        last = data.draw(st.integers(min_value=max(first - 2, -1),
+                                     max_value=min(first + 1, n - 1)))
+        values = np.zeros(n)
+        values[:last + 1] = data.draw(st.sampled_from([0.06, np.nextafter(0.05, 1.0)]))
+        state = SimState(t=0.0, x_left=x_left, dx=dx, values=values,
+                         right_value=0.0)
+        want = self.front_in_margin(state, margin, 0.05)
+        assert (maybe_grow_domain(state, cfg) == "grew") == want
+
+    @pytest.mark.parametrize("last, status", [(8, "ok"), (9, "grew")])
+    def test_cell_exactly_at_margin_edge(self, last, status):
+        # x_right = 5, width 5, margin 0.1: the edge 4.5 is the grid point i = 9
+        cfg = make_config(growth_margin=0.1)
+        values = np.zeros(11)
+        values[:last + 1] = 0.06
+        state = SimState(t=0.0, x_left=0.0, dx=0.5, values=values, right_value=0.0)
+        assert state.x_right - 0.1 * (10 * 0.5) == state.grid[9] == 4.5
+        assert maybe_grow_domain(state, cfg) == status
+
+
+class TestStaticDomainArrest:
+    def test_front_at_static_edge_truncates(self):
+        # the algebraic front reaches the right 10% of [-2, 3] well before t = 2
+        cfg = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
+                          x_right=3.0, t_end=2.0)
+        result = run(cfg)
+        diag = result.diagnostics
+        assert diag.truncated
+        assert 0.0 < diag.truncation_time < cfg.t_end
+        assert diag.n_steps == round(diag.truncation_time / cfg.dt)
+        assert result.traces[0.5].times[-1] == diag.truncation_time
+
+    def test_matches_growth_test_with_default_margin(self):
+        static = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
+                             x_right=3.0)
+        growing = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
+                              x_right=3.0, growth_margin=0.1)
+        for fill, status in ((0.0, "ok"), (0.06, "capped")):
+            state = initialize_state(static)
+            state.values[state.values < 0.06] = fill
+            assert maybe_grow_domain(state, static) == status
+            state = initialize_state(growing)
+            state.values[state.values < 0.06] = fill
+            assert maybe_grow_domain(state, growing) == {"ok": "ok", "capped": "grew"}[status]
+
+    def test_far_front_runs_to_the_end(self):
+        result = run(make_config(t_end=1.0))
+        assert not result.diagnostics.truncated
+        assert result.diagnostics.n_steps == 100
+
+
+class TestTracedCallSites:
+    """The benchmark times these functions by replacing module attributes;
+    ``run`` must keep reaching them through those attributes."""
+
+    def test_run_calls_through_module_attributes(self, monkeypatch):
+        counts = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("imex_step", "eval_f", "maybe_grow_domain",
+                     "extract_level_position", "eval_u0"):
+            counting(solver, name)
+        counting(kernels, "theta_step")
+        cfg = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
+                          x_right=3.0, growth_margin=0.4, t_end=0.5)
+        result = solver.run(cfg)
+        steps = result.diagnostics.n_steps
+        assert result.diagnostics.growth_events > 0
+        assert counts == {
+            "imex_step": steps, "eval_f": steps, "theta_step": steps,
+            "maybe_grow_domain": steps,
+            "extract_level_position": result.traces[0.5].times.size,
+            "eval_u0": 1 + result.diagnostics.growth_events,
+        }
 
 
 class TestRun:
