@@ -13,8 +13,7 @@ from .envelope import (OdeProfile, Regime, RegimeClassification,
                        envelope_derivatives, ode_envelope, plateau_edge,
                        predict_level_envelope, subsolution, supersolution)
 from .initial_data import (Family, InitialDataSpec, algebraic, algebraic_raw,
-                           check_growth_conditions, eval_phi0, eval_u0,
-                           logarithmic, sub_exponential, u0_inverse)
+                           eval_phi0, eval_u0, logarithmic, sub_exponential)
 from .measurement import (FitResult, LevelSetTrace, extract_level_position,
                           fit_exp_power, fit_linear, fit_power, select_model)
 from .reaction import (ReactionFamily, ReactionKind, ReactionParams, allee,
@@ -30,12 +29,12 @@ __all__ = [
     "ReactionFamily", "ReactionKind", "ReactionParams", "Regime",
     "RegimeClassification", "SimState", "SimulationConfig",
     "SubsolutionParams", "algebraic", "algebraic_raw",
-    "allee", "auto_size_domain", "check_growth_conditions", "classify_regime",
+    "allee", "auto_size_domain", "classify_regime",
     "compare_families_near_zero", "envelope_derivatives", "eval_f",
     "eval_phi0", "eval_u0", "extract_level_position", "fit_exp_power",
     "fit_linear", "fit_power", "imex_step", "kpp", "logarithmic",
     "maybe_grow_domain", "ode_envelope", "plateau_edge",
     "predict_level_envelope", "run", "select_model",
     "sub_exponential", "subsolution", "supersolution",
-    "u0_inverse", "verify_hypothesis_bounds", "weakly_monostable",
+    "verify_hypothesis_bounds", "weakly_monostable",
 ]

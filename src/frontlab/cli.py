@@ -4,7 +4,7 @@ Subcommands:
     simulate <config> [--out DIR]   run a configuration file, write artifacts
     preset <name> [--out DIR]       run a named figure preset
     verify <subject>                hypothesis | envelope | sandwich | convergence
-    classify --alpha A --family F --beta B [--mu M --scale S]
+    classify --alpha A --family F --beta B
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 runtime/numerical error.
@@ -19,9 +19,7 @@ import sys
 from . import presets
 from .config import parse_config
 from .envelope import classify_regime
-from .errors import (AnalysisError, CalibrationError, ConfigError,
-                     FrontlabError, InputError, NumericalError,
-                     ParameterError, SolverError)
+from .errors import FrontlabError
 from .initial_data import Family, InitialDataSpec
 from .verify import SUBJECTS, run_verification
 
@@ -54,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--family", required=True,
                        help="sub_exponential | algebraic | algebraic_raw | logarithmic")
     p_cls.add_argument("--beta", type=float, required=True)
-    p_cls.add_argument("--mu", type=float, default=5.0)
-    p_cls.add_argument("--scale", type=float, default=100.0)
     return parser
 
 
@@ -89,12 +85,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     family = Family(args.family.lower())
-    spec = InitialDataSpec(
-        family=family,
-        beta=args.beta,
-        mu=args.mu if family is Family.SUB_EXPONENTIAL else None,
-        scale=args.scale if family is Family.ALGEBRAIC else None,
-    )
+    # the regime depends on the family and beta only; any valid mu and scale do
+    spec = InitialDataSpec(family, args.beta, mu=1.0, scale=1.0)
     cls = classify_regime(args.alpha, spec)
     print(f"family={family.value} alpha={args.alpha} beta={args.beta}")
     print(f"regime: {cls.regime.value}")
@@ -114,11 +106,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_classify(args)
-    except (ConfigError, InputError, ParameterError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, NumericalError, CalibrationError, AnalysisError,
-            FrontlabError) as exc:
+    except FrontlabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -96,6 +96,11 @@ def _get(entries, section, key, convert, default=None):
                           line=lineno, key=key) from exc
 
 
+def _present(**fields):
+    """The fields the document gave: an absent key (None) keeps its dataclass default."""
+    return {name: value for name, value in fields.items() if value is not None}
+
+
 def _float_list(value: str) -> tuple[float, ...]:
     parts = [p for p in value.replace(",", " ").split() if p]
     return tuple(float(p) for p in parts)
@@ -108,12 +113,12 @@ def parse_config(text: str) -> SimulationConfig:
     rkind = _get(entries, "reaction", "family",
                  lambda v: ReactionKind(v.lower()), ReactionKind.WEAKLY_MONOSTABLE)
     try:
-        params = ReactionParams(
-            r=_get(entries, "reaction", "r", float, 1.0),
+        params = ReactionParams(**_present(
+            r=_get(entries, "reaction", "r", float),
             alpha=_get(entries, "reaction", "alpha", float),
-            K=_get(entries, "reaction", "k", float, 1.0),
-            s0=_get(entries, "reaction", "s0", float, 1.0),
-        )
+            K=_get(entries, "reaction", "k", float),
+            s0=_get(entries, "reaction", "s0", float),
+        ))
         reaction = ReactionFamily(rkind, params)
 
         dkind = _get(entries, "initial_data", "family", lambda v: Family(v.lower()))
@@ -129,24 +134,23 @@ def parse_config(text: str) -> SimulationConfig:
         if growth not in ("static", "double_when_near"):
             raise ConfigError(f"growth must be static or double_when_near, got {growth!r}",
                               key="growth")
-        margin = _get(entries, "grid", "growth_margin", float, 0.1)
-
-        config = SimulationConfig(
-            reaction=reaction,
-            data=data,
+        fields = _present(
+            growth_margin=_get(entries, "grid", "growth_margin", float),
             dx=_get(entries, "grid", "dx", float),
             dt=_get(entries, "time", "dt", float),
             t_end=_get(entries, "time", "t_end", float),
             x_left=_get(entries, "grid", "x_left", float),
             x_right=_get(entries, "grid", "x_right", float),
-            theta=_get(entries, "time", "theta", float, 1.0),
-            snapshot_times=_get(entries, "time", "snapshot_times", _float_list, ()),
-            lambdas=_get(entries, "measurement", "lambdas", _float_list, (0.5,)),
-            growth_margin=None if growth == "static" else margin,
-            cell_cap=_get(entries, "grid", "cell_cap", int, 4_000_000),
-            floor=_get(entries, "grid", "floor", float, 1e-300),
-            trace_stride=_get(entries, "measurement", "trace_stride", int, 1),
+            theta=_get(entries, "time", "theta", float),
+            snapshot_times=_get(entries, "time", "snapshot_times", _float_list),
+            lambdas=_get(entries, "measurement", "lambdas", _float_list),
+            cell_cap=_get(entries, "grid", "cell_cap", int),
+            floor=_get(entries, "grid", "floor", float),
+            trace_stride=_get(entries, "measurement", "trace_stride", int),
         )
+        if growth == "static":
+            fields["growth_margin"] = None
+        config = SimulationConfig(reaction, data, **fields)
     except ConfigError:
         raise
     except FrontlabError as exc:

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from ._scalar import scalar_or_array
-from .errors import DomainError, InputError, ParameterError
+from .errors import DomainError, ParameterError
 
 
 class Family(Enum):
@@ -144,29 +144,11 @@ def phi0_total(spec: InitialDataSpec, x):
     return scalar_or_array(arr, out)
 
 
-def u0_inverse(spec: InitialDataSpec, z):
-    """Position U0(z) = sup{x : u0(x) = z} for a density z in the tail range (0, 1)."""
-    arr = np.asarray(z, dtype=float)
-    if arr.size and (np.min(arr) <= 0.0 or np.max(arr) >= 1.0):
-        bad = arr[(arr <= 0.0) | (arr >= 1.0)].flat[0]
-        raise DomainError(f"density {bad} is outside the strict tail range (0, 1)")
-    b = spec.beta
-    if spec.family is Family.SUB_EXPONENTIAL:
-        out = (-np.log(arr) / spec.mu) ** (1.0 / b)
-    elif spec.family is Family.ALGEBRAIC:
-        out = ((1.0 / arr - 1.0) / spec.scale) ** (1.0 / b)
-    elif spec.family is Family.ALGEBRAIC_RAW:
-        out = arr ** (-1.0 / b)
-    else:
-        out = np.exp(arr ** (-1.0 / b))
-    return scalar_or_array(arr, out)
-
-
 def position_at_phi(spec: InitialDataSpec, phi):
     """Tail position where -ln(u0) reaches ``phi`` >= 0.
 
-    Log-space twin of ``u0_inverse``: equals u0_inverse(exp(-phi)) but stays
-    usable when the density exp(-phi) underflows double precision.
+    The tail inverse in log space: the position where u0 = exp(-phi), still
+    usable when that density underflows double precision.
     """
     arr = np.asarray(phi, dtype=float)
     if arr.size and np.min(arr) < 0.0:
@@ -181,38 +163,3 @@ def position_at_phi(spec: InitialDataSpec, phi):
     else:
         out = np.exp(np.exp(arr / b))
     return scalar_or_array(arr, out)
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Sampled certificate for the tail-decay conditions.
-
-    ``genoo_holds`` is the sampled version of phi'*(1+phi)**alpha -> 0 and
-    phi''/phi' -> 0: both ratios must have dropped below half their first
-    value and below 1e-2 at the last probe.  ``concave_tail`` requires
-    phi'' <= 0 at every probe.
-    """
-
-    genoo_holds: bool
-    concave_tail: bool
-    derivative_ratio_first: float
-    derivative_ratio_last: float
-    curvature_ratio_first: float
-    curvature_ratio_last: float
-
-
-def check_growth_conditions(spec: InitialDataSpec, alpha: float, probe_points) -> GrowthReport:
-    probes = np.asarray(probe_points, dtype=float)
-    if probes.size < 3:
-        raise InputError(f"need at least 3 probe points, got {probes.size}")
-    if np.any(np.diff(probes) <= 0):
-        raise InputError("probe points must be strictly increasing")
-    phi, dphi, ddphi = eval_phi0(spec, probes)
-    r1 = dphi * (1.0 + phi) ** alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.abs(ddphi) / dphi
-    decays = (r1[-1] < 0.5 * r1[0] and r1[-1] < 1e-2
-              and r2[-1] < 0.5 * r2[0] and r2[-1] < 1e-2)
-    concave = bool(np.all(ddphi <= 0.0))
-    return GrowthReport(bool(decays), concave,
-                        float(r1[0]), float(r1[-1]), float(r2[0]), float(r2[-1]))

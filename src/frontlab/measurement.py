@@ -91,17 +91,6 @@ class LevelSetTrace:
         for t, x in zip(self.times, self.positions):
             target.write(f"{float(t)!r},{float(x)!r}\n")
 
-    @classmethod
-    def from_csv(cls, source, lam: float) -> "LevelSetTrace":
-        if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
-            with open(source, "r", encoding="ascii") as fh:
-                return cls.from_csv(fh, lam)
-        header = source.readline().strip()
-        if header != "t,x_lambda":
-            raise InputError(f"unexpected trace header {header!r}")
-        data = np.loadtxt(source, delimiter=",", ndmin=2)
-        return cls(lam, data[:, 0], data[:, 1])
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -245,8 +234,7 @@ def selection_residual(fit: FitResult, trace: LevelSetTrace) -> float:
     return float(np.sqrt(np.mean(((pred - x) / denom) ** 2)))
 
 
-def select_model(trace: LevelSetTrace, alpha: float, r: float,
-                 window=None) -> tuple[FitResult, Regime]:
+def select_model(trace: LevelSetTrace, alpha: float, r: float) -> tuple[FitResult, Regime]:
     """Fit all three models (offsets fitted) and pick by residual.
 
     The least complex model within ``COMPLEXITY_MARGIN`` of the smallest
@@ -257,11 +245,11 @@ def select_model(trace: LevelSetTrace, alpha: float, r: float,
     for model in _MODEL_ORDER:
         try:
             if model == "linear":
-                fits[model] = fit_linear(trace, window)
+                fits[model] = fit_linear(trace)
             elif model == "power":
-                fits[model] = fit_power(trace, window)
+                fits[model] = fit_power(trace)
             else:
-                fits[model] = fit_exp_power(trace, alpha, r, window)
+                fits[model] = fit_exp_power(trace, alpha, r)
         except (InputError, OffsetError):
             continue
     if not fits:

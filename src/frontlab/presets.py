@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reporting
-from .envelope import classify_regime
+from .envelope import Regime, classify_regime
 from .initial_data import InitialDataSpec, algebraic, sub_exponential
 from .measurement import select_model
 from .reaction import (ReactionParams, compare_families_near_zero,
@@ -62,11 +62,11 @@ def _sim_config(alpha: float, data: InitialDataSpec, t_end: float,
 
 
 def _subexp_panel(alpha: float, beta: float) -> SimulationConfig:
-    if beta >= 1.0 / (alpha + 1.0):
-        return _sim_config(alpha, sub_exponential(mu=5.0, beta=beta),
-                           t_end=30.0, snapshot_times=(7.5, 15.0, 22.5, 30.0))
-    return _sim_config(alpha, sub_exponential(mu=5.0, beta=beta),
-                       t_end=10.0, snapshot_times=(2.5, 5.0, 7.5, 10.0))
+    data = sub_exponential(mu=5.0, beta=beta)
+    if classify_regime(alpha, data).regime is Regime.FINITE_SPEED:
+        return _sim_config(alpha, data, t_end=30.0,
+                           snapshot_times=(7.5, 15.0, 22.5, 30.0))
+    return _sim_config(alpha, data, t_end=10.0, snapshot_times=(2.5, 5.0, 7.5, 10.0))
 
 
 def _algebraic_panel(alpha: float, beta: float) -> SimulationConfig:
@@ -141,6 +141,23 @@ def get_preset(name: str) -> Preset:
     return PRESETS[name]
 
 
+def _fit_and_log(trace, alpha: float, r: float, predicted: Regime, prefix: str,
+                 log) -> tuple | None:
+    """Select the rate model of ``trace`` and log it against ``predicted``.
+
+    Returns (fit, measured regime name) for fits.txt, or None, logged as
+    skipped, when no rate model fits the trace.
+    """
+    try:
+        fit, regime = select_model(trace, alpha, r)
+    except (AnalysisError, InputError) as exc:
+        log(f"{prefix} fit skipped ({exc})")
+        return None
+    log(f"{prefix} fitted {fit.model} (headline {fit.exponent:.4g}), "
+        f"measured {regime.value}, predicted {predicted.value}")
+    return fit, regime.value
+
+
 def run_bundle(config: SimulationConfig, out_dir: str, title: str,
                log=print) -> RunResult:
     """Run ``config`` and write its simulation bundle into ``out_dir``.
@@ -155,17 +172,12 @@ def run_bundle(config: SimulationConfig, out_dir: str, title: str,
                                   result.snapshots)
     trace_files = reporting.write_traces(out_dir, result.traces)
     alpha, r = config.reaction.params.alpha, config.reaction.params.r
-    predicted = classify_regime(alpha, config.data)
+    predicted = classify_regime(alpha, config.data).regime
     entries = []
     for lam, trace in sorted(result.traces.items()):
-        try:
-            fit, regime = select_model(trace, alpha, r)
-        except (AnalysisError, InputError) as exc:
-            log(f"lambda={lam}: fit skipped ({exc})")
-            continue
-        entries.append((f"lambda_{lam!r}", fit, regime.value))
-        log(f"lambda={lam}: fitted {fit.model} (headline {fit.exponent:.4g}), "
-            f"measured {regime.value}, predicted {predicted.regime.value}")
+        selected = _fit_and_log(trace, alpha, r, predicted, f"lambda={lam}:", log)
+        if selected is not None:
+            entries.append((f"lambda_{lam!r}", *selected))
     reporting.write_fit_report(os.path.join(out_dir, "fits.txt"), entries)
     with open(os.path.join(out_dir, "plot.gp"), "w", encoding="ascii") as fh:
         fh.write(reporting.snapshot_plot_script("snapshots.csv", title))
@@ -222,18 +234,16 @@ def _run_fig9(out_dir: str, log) -> None:
         name = f"trace_{label}.csv"
         trace.to_csv(os.path.join(out_dir, name))
         trace_files.append(name)
-        fit, regime = select_model(trace, alpha, r)
-        entries.append((label, fit, regime.value))
-        predicted = classify_regime(alpha, config.data)
-        log(f"fig9: {label} fitted {fit.model} (headline {fit.exponent:.4g}), "
-            f"measured {regime.value}, predicted {predicted.regime.value}")
+        predicted = classify_regime(alpha, config.data).regime
+        selected = _fit_and_log(trace, alpha, r, predicted, f"fig9: {label}", log)
+        if selected is not None:
+            entries.append((label, *selected))
     overlay_files = []
     for label, curve in FIG9_CURVES.items():
         # evaluate each overlay on the longest trace's time range
         t = np.linspace(0.5, 30.0, 296)
         name = f"{label}.csv"
-        reporting.write_table_csv(os.path.join(out_dir, name), "t,x",
-                                  reporting.curve_csv_rows(t, curve(t)))
+        reporting.write_table_csv(os.path.join(out_dir, name), "t,x", zip(t, curve(t)))
         overlay_files.append(name)
     reporting.write_fit_report(os.path.join(out_dir, "fits.txt"), entries)
     with open(os.path.join(out_dir, "plot.gp"), "w", encoding="ascii") as fh:
@@ -264,11 +274,3 @@ def run_preset(name: str, out_root: str = ".", log=print) -> str:
         run_bundle(preset.config, out_dir, preset.description,
                    log=lambda msg: log(f"{preset.name}: {msg}"))
     return out_dir
-
-
-def preset_figures() -> dict[str, list[str]]:
-    """Figure id -> preset names realizing it (coverage check helper)."""
-    coverage: dict[str, list[str]] = {}
-    for preset in PRESETS.values():
-        coverage.setdefault(preset.figure, []).append(preset.name)
-    return coverage

@@ -7,7 +7,7 @@ The central family is the weakly monostable one,
 whose per-capita rate sits between the logistic (KPP) rate r*(1-s) and the
 degenerate Allee rate r*s**alpha*(1-s) near s = 0.  Both reference families
 are provided for comparison plots, and ``verify_hypothesis_bounds`` checks
-an arbitrary scalar reaction against the two-sided per-capita envelope
+an arbitrary vectorised reaction against the two-sided per-capita envelope
 
     f(s) <= r*s/(1+|ln s|)**alpha                 on (0, 1),
     f(s) >= r*s/(1+|ln s|)**alpha * (1 - K*s)     on (0, s0].
@@ -64,9 +64,8 @@ class ReactionFamily:
         return eval_f(self, s)
 
 
-def weakly_monostable(alpha: float, r: float = 1.0, K: float = 1.0,
-                      s0: float = 1.0) -> ReactionFamily:
-    return ReactionFamily(ReactionKind.WEAKLY_MONOSTABLE, ReactionParams(r, alpha, K, s0))
+def weakly_monostable(alpha: float, r: float = 1.0) -> ReactionFamily:
+    return ReactionFamily(ReactionKind.WEAKLY_MONOSTABLE, ReactionParams(r, alpha))
 
 
 def kpp(alpha: float, r: float = 1.0) -> ReactionFamily:
@@ -159,9 +158,10 @@ def verify_hypothesis_bounds(params: ReactionParams,
                              grid: Sequence[float]) -> HypothesisReport:
     """Check ``f`` against the per-capita envelope on sample points in (0, 1).
 
-    The upper bound is tested at every grid point; the lower bound only at
-    points <= s0.  On failure the report carries the worst witness (largest
-    excess / deficit) with both sides of the inequality.
+    ``f`` maps the whole sample array to its rates in one call.  The upper
+    bound is tested at every grid point; the lower bound only at points
+    <= s0.  On failure the report carries the worst witness (largest excess /
+    deficit) with both sides of the inequality.
     """
     s = np.asarray(grid, dtype=float)
     if s.size == 0:
@@ -169,12 +169,7 @@ def verify_hypothesis_bounds(params: ReactionParams,
     if np.any(s <= 0.0) or np.any(s >= 1.0):
         raise InputError("sample points must lie strictly inside (0, 1)")
 
-    try:
-        fs = np.asarray(f(s), dtype=float)
-        if fs.shape != s.shape:
-            raise ValueError
-    except Exception:
-        fs = np.array([float(f(x)) for x in s])
+    fs = np.asarray(f(s), dtype=float)
 
     upper = percapita_bound(params, s)
     excess = fs - upper

@@ -97,7 +97,3 @@ def trace_plot_script(trace_files: list[str], title: str,
         "plot " + ", \\\n     ".join(plots),
         "",
     ])
-
-
-def curve_csv_rows(times, values):
-    return [(float(t), float(v)) for t, v in zip(times, values)]

@@ -258,9 +258,6 @@ class RunResult:
     traces: dict
     diagnostics: Diagnostics
 
-    def trace(self, lam: float) -> LevelSetTrace:
-        return self.traces[lam]
-
 
 def run(config: SimulationConfig,
         initial_values: np.ndarray | None = None) -> RunResult:

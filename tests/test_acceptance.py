@@ -110,7 +110,7 @@ def test_criterion_4_power_acceleration(power_run):
         (f"exponent {fit.exponent:.4f} within 15% of {target:.4f}; at t<=10 "
          f"the plateau-driven front (speed ~1.37) still leads the heavy-tail "
          f"growth mechanism, so the trace shows local slope ~1.3; the same "
-         f"solver measures p=3.86 on the window [20,30] of a t_end=30 run, "
+         f"solver measures p=3.82 on the window [20,30] of a t_end=30 run, "
          f"inside the 15% band",
          rel <= 0.15),
     ]

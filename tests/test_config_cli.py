@@ -5,8 +5,10 @@ import pytest
 from frontlab.cli import main
 from frontlab.config import config_to_text, parse_config
 from frontlab.errors import ConfigError
-from frontlab.initial_data import Family
+from frontlab.initial_data import Family, InitialDataSpec
 from frontlab.presets import PRESETS
+from frontlab.reaction import ReactionFamily, ReactionKind, ReactionParams
+from frontlab.solver import SimulationConfig
 
 MINIMAL = """
 [reaction]
@@ -38,6 +40,14 @@ class TestParseConfig:
         assert cfg.growth_margin == 0.1
         assert cfg.lambdas == (0.5,)
         assert cfg.snapshot_times == ()
+
+    def test_required_keys_only_take_dataclass_defaults(self):
+        text = MINIMAL.replace("scale = 100.0\n", "")
+        expected = SimulationConfig(
+            ReactionFamily(ReactionKind.WEAKLY_MONOSTABLE, ReactionParams(alpha=0.4)),
+            InitialDataSpec(Family.ALGEBRAIC, 1.0, scale=100.0),
+            dx=0.05, dt=0.01, t_end=8.0)
+        assert parse_config(text) == expected
 
     def test_theta_out_of_range_rejected(self):
         bad = MINIMAL + "\n[time]\n"  # appending a duplicate section is fine

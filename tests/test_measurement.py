@@ -111,10 +111,9 @@ class TestLevelSetTrace:
         trace = LevelSetTrace(0.5, t, x)
         buf = io.StringIO()
         trace.to_csv(buf)
-        buf.seek(0)
-        back = LevelSetTrace.from_csv(buf, 0.5)
-        assert np.array_equal(back.times, t)
-        assert np.array_equal(back.positions, x)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        assert np.array_equal([float(tt) for tt, _ in rows], t)
+        assert np.array_equal([float(xx) for _, xx in rows], x)
 
     def test_csv_header(self):
         trace = LevelSetTrace(0.5, [0.0, 1.0], [0.5, 1.5])

@@ -5,7 +5,8 @@ import frontlab
 DELETED = ("TravelingBound", "min_wave_speed", "traveling_bound",
            "traveling_profile", "traveling_residual",
            "calibrate_traveling_speed", "saturation_curvature",
-           "shifted_supersolution", "tridiagonal_solve", "thomas_solve")
+           "shifted_supersolution", "tridiagonal_solve", "thomas_solve",
+           "u0_inverse", "check_growth_conditions")
 
 
 def test_every_export_resolves():

@@ -1,12 +1,16 @@
 """Preset catalog coverage and the non-simulation preset bundles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from frontlab import presets
+from frontlab.envelope import Regime, classify_regime
 from frontlab.errors import InputError
 from frontlab.initial_data import sub_exponential
-from frontlab.presets import (FIG9_CURVES, FIG9_RUNS, available_presets,
-                              get_preset, preset_figures, run_bundle,
+from frontlab.presets import (FIG9_CURVES, FIG9_RUNS, PRESETS, _subexp_panel,
+                              available_presets, get_preset, run_bundle,
                               run_preset)
 from frontlab.reaction import weakly_monostable
 from frontlab.solver import SimulationConfig
@@ -16,7 +20,9 @@ class TestCatalog:
     def test_every_figure_covered_once(self):
         """One figure-level preset per published figure (1 and 3..9; 2 is the
         classification table)."""
-        figures = preset_figures()
+        figures = {}
+        for preset in PRESETS.values():
+            figures.setdefault(preset.figure, []).append(preset.name)
         assert sorted(figures) == [f"fig{i}" for i in range(1, 10)]
         for fig, names in figures.items():
             assert fig in names  # the figure-level preset carries its own id
@@ -47,6 +53,16 @@ class TestCatalog:
     def test_available_sorted(self):
         names = available_presets()
         assert names == sorted(names)
+
+    @pytest.mark.parametrize("alpha", (0.2, 0.4, 0.6))
+    def test_subexp_horizon_follows_classify_regime(self, alpha):
+        """Finite-speed panels run to t = 30, accelerating ones to t = 10; the
+        threshold beta = 1/(alpha+1) itself is finite speed."""
+        threshold = 1.0 / (alpha + 1.0)
+        for beta, t_end in ((threshold, 30.0), (np.nextafter(threshold, 0.0), 10.0)):
+            regime = classify_regime(alpha, sub_exponential(mu=5.0, beta=beta)).regime
+            assert (regime is Regime.FINITE_SPEED) == (t_end == 30.0)
+            assert _subexp_panel(alpha, beta).t_end == t_end
 
     def test_fig9_runs_match_published_settings(self):
         assert set(FIG9_RUNS) == {"subexp_bounded", "subexp_light", "algebraic"}
@@ -107,3 +123,19 @@ class TestRunBundle:
         assert (tmp_path / "fits.txt").read_text() == ""
         for name in ("snapshots.csv", "trace_lambda_0.5.csv", "plot.gp"):
             assert (tmp_path / name).exists()
+
+    def test_fig9_failed_fits_skipped_and_logged(self, tmp_path, monkeypatch):
+        # t_end = 0.1 leaves too few samples for any rate model in every run
+        short = {label: replace(cfg, t_end=0.1, snapshot_times=())
+                 for label, cfg in FIG9_RUNS.items()}
+        monkeypatch.setattr(presets, "FIG9_RUNS", short)
+        messages = []
+        run_preset("fig9", out_root=str(tmp_path), log=messages.append)
+        assert messages == [f"fig9: {label} fit skipped (no rate model could be "
+                            f"fitted to the trace)" for label in short]
+        out = tmp_path / "fig9"
+        assert (out / "fits.txt").read_text() == ""
+        names = ([f"trace_{label}.csv" for label in short]
+                 + [f"{label}.csv" for label in FIG9_CURVES] + ["plot.gp"])
+        for name in names:
+            assert (out / name).exists(), name

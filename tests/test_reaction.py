@@ -1,7 +1,5 @@
 """Reaction-term evaluators and the per-capita bound checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -192,12 +190,6 @@ class TestVerifyHypothesisBounds:
     def test_grid_outside_unit_interval_rejected(self):
         with pytest.raises(InputError):
             verify_hypothesis_bounds(ReactionParams(1.0, 0.4), lambda s: s, [0.5, 1.0])
-
-    def test_scalar_only_callable_accepted(self):
-        params = ReactionParams(r=1.0, alpha=0.4)
-        f = lambda s: float(s) * (1.0 - float(s)) / (1.0 - math.log(float(s))) ** 0.4
-        report = verify_hypothesis_bounds(params, f, np.geomspace(1e-6, 0.9, 50))
-        assert report.upper_ok
 
 
 class TestCompareFamilies:
