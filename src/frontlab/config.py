@@ -29,7 +29,7 @@ required keys and invariant violations name the offending key.  Every
 from __future__ import annotations
 
 from .errors import ConfigError, FrontlabError
-from .initial_data import Family, InitialDataSpec
+from .initial_data import ALGEBRAIC_SCALE, Family, InitialDataSpec
 from .reaction import ReactionFamily, ReactionKind, ReactionParams
 from .solver import SimulationConfig
 
@@ -127,7 +127,7 @@ def parse_config(text: str) -> SimulationConfig:
             beta=_get(entries, "initial_data", "beta", float),
             mu=_get(entries, "initial_data", "mu", float),
             scale=_get(entries, "initial_data", "scale", float,
-                       100.0 if dkind is Family.ALGEBRAIC else None),
+                       ALGEBRAIC_SCALE if dkind is Family.ALGEBRAIC else None),
         )
 
         growth = _get(entries, "grid", "growth", str, "double_when_near").lower()

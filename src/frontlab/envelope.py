@@ -34,6 +34,9 @@ from .reaction import ReactionFamily, eval_f
 # Relative slack for the bracket >= 1 precondition and for barrier residual
 # sign checks; covers float round-off without hiding real violations.
 _FP_SLACK = 1e-12
+# probe points per time and the doubling cap of the barrier calibrations
+_N_PROBE = 200
+_MAX_DOUBLINGS = 40
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,7 @@ def supersolution(profile: OdeProfile, shift: float, t: float, x):
 
 
 def calibrate_supersolution_shift(profile: OdeProfile, family: ReactionFamily,
-                                  t_grid, x_max: float, n_probe: int = 200,
-                                  max_doublings: int = 40) -> float:
+                                  t_grid, x_max: float) -> float:
     """Smallest power-of-two shift making the barrier residual nonnegative.
 
     Checks rho*w/L**alpha - w_xx - f(w) >= 0 on probe points between the
@@ -153,22 +155,22 @@ def calibrate_supersolution_shift(profile: OdeProfile, family: ReactionFamily,
     if not profile.rho > family.params.r:
         raise ParameterError("supersolution needs rho > r")
     shift = 1.0
-    for _ in range(max_doublings + 1):
-        if _supersolution_ok(profile, family, t_grid, x_max, n_probe, shift):
+    for _ in range(_MAX_DOUBLINGS + 1):
+        if _supersolution_ok(profile, family, t_grid, x_max, shift):
             return shift
         shift *= 2.0
     raise CalibrationError(
-        f"supersolution shift doubling did not validate within {max_doublings} steps")
+        f"supersolution shift doubling did not validate within {_MAX_DOUBLINGS} steps")
 
 
-def _supersolution_ok(profile, family, t_grid, x_max, n_probe, shift):
+def _supersolution_ok(profile, family, t_grid, x_max, shift):
     al = profile.alpha
     for t in t_grid:
         edge = plateau_edge(profile, t + shift)
         if edge >= x_max:
             continue
         lo = max(edge, profile.data.clamp_point + 1e-9)
-        xs = np.linspace(lo, x_max, n_probe)
+        xs = np.linspace(lo, x_max, _N_PROBE)
         w = ode_envelope(profile, t + shift, xs)
         _, wxx = envelope_derivatives(profile, t + shift, xs)
         L = 1.0 - np.log(w)
@@ -213,9 +215,10 @@ class SubsolutionParams:
         return max(1.0 / (2.0 * self.zeta), 1.0 / (4.0 * self.s0))
 
 
-def default_subsolution_params(zeta: float = 1.0, s0: float = 1.0) -> SubsolutionParams:
-    M0 = max(1.0 / (2.0 * zeta), 1.0 / (4.0 * s0))
-    return SubsolutionParams(M=max(10.0, M0), zeta=zeta, s0=s0)
+def default_subsolution_params(s0: float = 1.0) -> SubsolutionParams:
+    """The amplitude M = max(10, threshold): at least 10, and admissible."""
+    params = SubsolutionParams(M=math.inf, s0=s0)
+    return replace(params, M=max(10.0, params.threshold))
 
 
 def subsolution(params: SubsolutionParams, profile: OdeProfile, t: float, x):
@@ -248,24 +251,23 @@ def cutoff_edge(params: SubsolutionParams, profile: OdeProfile, t: float) -> flo
 
 
 def calibrate_subsolution(profile: OdeProfile, family: ReactionFamily,
-                          t_grid, x_max: float, zeta: float = 1.0,
-                          n_probe: int = 200, max_doublings: int = 40) -> SubsolutionParams:
+                          t_grid, x_max: float) -> SubsolutionParams:
     """Double M until v_t - v_xx - f(v) <= 0 on probe points past the cutoff edge."""
     r = family.params.r
     if not profile.rho < r:
         raise ParameterError("subsolution needs rho < r")
     if not profile.rho > 0.75 * r:
         raise ParameterError("subsolution needs rho > 3r/4")
-    params = default_subsolution_params(zeta=zeta, s0=family.params.s0)
-    for _ in range(max_doublings + 1):
-        if _subsolution_ok(params, profile, family, t_grid, x_max, n_probe):
+    params = default_subsolution_params(s0=family.params.s0)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        if _subsolution_ok(params, profile, family, t_grid, x_max):
             return params
         params = replace(params, M=2.0 * params.M)
     raise CalibrationError(
-        f"subsolution amplitude doubling did not validate within {max_doublings} steps")
+        f"subsolution amplitude doubling did not validate within {_MAX_DOUBLINGS} steps")
 
 
-def _subsolution_ok(params, profile, family, t_grid, x_max, n_probe):
+def _subsolution_ok(params, profile, family, t_grid, x_max):
     al = profile.alpha
     M = params.M
     for t in t_grid:
@@ -273,7 +275,7 @@ def _subsolution_ok(params, profile, family, t_grid, x_max, n_probe):
         if edge >= x_max:
             continue
         lo = max(edge * (1.0 + 1e-12), profile.data.clamp_point + 1e-9)
-        xs = np.linspace(lo, x_max, n_probe)
+        xs = np.linspace(lo, x_max, _N_PROBE)
         w = ode_envelope(profile, t, xs)
         wx, wxx = envelope_derivatives(profile, t, xs)
         region = w < 1.0 / (2.0 * M)  # past the cutoff edge; plateau is trivially fine

@@ -68,7 +68,11 @@ def sub_exponential(mu: float, beta: float) -> InitialDataSpec:
     return InitialDataSpec(Family.SUB_EXPONENTIAL, beta, mu=mu)
 
 
-def algebraic(beta: float, scale: float = 100.0) -> InitialDataSpec:
+# the scale of algebraic data when none is given, here and in config files
+ALGEBRAIC_SCALE = 100.0
+
+
+def algebraic(beta: float, scale: float = ALGEBRAIC_SCALE) -> InitialDataSpec:
     return InitialDataSpec(Family.ALGEBRAIC, beta, scale=scale)
 
 

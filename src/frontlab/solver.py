@@ -247,7 +247,6 @@ class Diagnostics:
     truncation_time: float | None = None
     n_steps: int = 0
     final_cells: int = 0
-    mass_history: list = field(default_factory=list)
     mass_monotone: bool = True
 
 
@@ -319,7 +318,6 @@ def run(config: SimulationConfig,
     diag.n_steps = n_steps if not diag.truncated else k - 1
     diag.final_cells = state.n
     mass.append(float(state.values.sum()) * state.dx)
-    diag.mass_history = mass
     # domain growth adds tail mass; compare successive totals with a small
     # relative allowance for the pinned-boundary flux
     diag.mass_monotone = bool(np.all(np.diff(mass) >= -1e-8 * max(mass)))

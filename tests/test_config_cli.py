@@ -5,7 +5,7 @@ import pytest
 from frontlab.cli import main
 from frontlab.config import config_to_text, parse_config
 from frontlab.errors import ConfigError
-from frontlab.initial_data import Family, InitialDataSpec
+from frontlab.initial_data import Family, InitialDataSpec, algebraic
 from frontlab.presets import PRESETS
 from frontlab.reaction import ReactionFamily, ReactionKind, ReactionParams
 from frontlab.solver import SimulationConfig
@@ -48,6 +48,11 @@ class TestParseConfig:
             InitialDataSpec(Family.ALGEBRAIC, 1.0, scale=100.0),
             dx=0.05, dt=0.01, t_end=8.0)
         assert parse_config(text) == expected
+
+    def test_algebraic_scale_defaults_to_library_data(self):
+        # no scale key: the same data as initial_data.algebraic(beta)
+        text = MINIMAL.replace("scale = 100.0\n", "").replace("beta = 1.0", "beta = 0.7")
+        assert parse_config(text).data == algebraic(0.7)
 
     def test_theta_out_of_range_rejected(self):
         bad = MINIMAL + "\n[time]\n"  # appending a duplicate section is fine

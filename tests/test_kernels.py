@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frontlab import kernels
+from frontlab.errors import NumericalError
 
 
 def tridiagonal_solve(lower, diag, upper, rhs):
@@ -50,6 +51,24 @@ def front_profiles(n):
     x = np.linspace(0.0, 1.0, n)
     tail = np.exp(-690.0 * x)
     return [tail, np.minimum(1.0, 1e3 * tail / (1.0 + np.exp(30.0 * (x - 0.3))))]
+
+
+def block_count(n, mu, theta):
+    # blocks in the scan's block segment for n cells (0: the head segment
+    # takes the whole sweep)
+    fwd = kernels._factor(n, mu, theta)[2]
+    return fwd[-1].g.shape[0] if len(fwd) > 1 else 0
+
+
+def first_size_with(blocks, mu, theta):
+    # the smallest grid whose scan has this many blocks, by bisection
+    lo, hi = 3, 4
+    while block_count(hi, mu, theta) < blocks:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if block_count(mid, mu, theta) >= blocks else (mid, hi)
+    return hi
 
 
 def assert_close_to_oracle(u, mu, theta):
@@ -117,12 +136,61 @@ class TestThetaStep:
             out = kernels.theta_step(out, np.zeros_like(out), 1.0, 1.0, out[-1])
         assert np.sum(out) == pytest.approx(np.sum(u), rel=1e-10)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 257, 2601])
+    # "edge k": the first grid with k blocks and its two neighbours
+    @pytest.mark.parametrize("n", [3, 4, 5, 257, 2601, "edge 1", "edge 2", "edge 8"])
     @pytest.mark.parametrize("mu", [5e-4, 0.4, 4.0, 100.0])
     @pytest.mark.parametrize("theta", [0.5, 0.8, 1.0])
     def test_matches_thomas_oracle(self, theta, mu, n):
-        for u in front_profiles(n):
-            assert_close_to_oracle(u, mu, theta)
+        sizes = [n]
+        if isinstance(n, str):
+            blocks = int(n.split()[1])
+            edge = first_size_with(blocks, mu, theta)
+            assert block_count(edge - 1, mu, theta) == blocks - 1
+            sizes = [edge - 1, edge, edge + 1]
+        for size in sizes:
+            for u in front_profiles(size):
+                assert_close_to_oracle(u, mu, theta)
+
+    @pytest.mark.parametrize("mu", [1e-6, 1e4])
+    def test_wide_grid_extreme_mu(self, mu):
+        # 26 090 cells at the smallest and largest block lengths; under
+        # filterwarnings = error this also shows that no factor overflows
+        assert_close_to_oracle(front_profiles(26090)[1], mu, 0.5)
+
+    def test_cache_holds_work_arrays_and_block_vectors(self):
+        # beyond its two work arrays a grid's factor keeps vectors of about
+        # one block length, not of the grid's length
+        n = 26090
+        d, x, fwd, bwd = kernels._factor(n, 4.0, 1.0)
+        block = fwd[-1].g.shape[1]
+        bases = {}
+        for seg in fwd + bwd:
+            for arr in seg:
+                if isinstance(arr, np.ndarray):
+                    while arr.base is not None:
+                        arr = arr.base
+                    bases[id(arr)] = arr
+        extra = sum(a.nbytes for key, a in bases.items() if key not in (id(d), id(x)))
+        assert d.nbytes + x.nbytes == 8 * (2 * n - 1)
+        assert extra <= 10 * 8 * block
+        assert 10 * block < n / 3
+
+    @pytest.mark.parametrize("mu", [1e-6, 5e-4, 0.4, 4.0, 100.0, 1e4])
+    def test_factors_within_scale_bound(self, mu):
+        # the design bound s**-B <= 2**600: no factor of a row leaves
+        # [2**-600, 2**600], on the grids with the longest head segment
+        # for 0, 1 and 2 blocks
+        for blocks in (1, 2, 3):
+            n = first_size_with(blocks, mu, 1.0) - 1
+            _, _, fwd, bwd = kernels._factor(n, mu, 1.0)
+            for seg in fwd + bwd:
+                assert seg.pre.max() <= 2.0 ** kernels.SCALE_BITS
+                assert seg.post.min() >= 2.0 ** -kernels.SCALE_BITS
+
+    def test_too_small_mu_reported(self):
+        # a coefficient below 2**-600 leaves no room for a block
+        with pytest.raises(NumericalError):
+            kernels.theta_step(np.ones(10), None, 1e-300, 1.0, 1.0)
 
     def test_each_size_gets_its_own_factor(self):
         # domain growth changes n between steps with the same mu and theta;
