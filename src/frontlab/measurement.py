@@ -22,6 +22,7 @@ import numpy as np
 from .envelope import Regime
 from .errors import (AnalysisError, BelowLevelError, FrontExitedDomainError,
                      InputError, OffsetError, ParameterError)
+from .reporting import CHUNK_ROWS, float_reprs, write_rows
 
 # candidate offsets scanned when b is fitted
 OFFSET_GRID_SIZE = 51
@@ -88,8 +89,9 @@ class LevelSetTrace:
                 self.to_csv(fh)
             return
         target.write("t,x_lambda\n")
-        for t, x in zip(self.times, self.positions):
-            target.write(f"{float(t)!r},{float(x)!r}\n")
+        for start in range(0, self.times.size, CHUNK_ROWS):
+            write_rows(target, float_reprs(self.times, start),
+                       float_reprs(self.positions, start))
 
 
 @dataclass(frozen=True)

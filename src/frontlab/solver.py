@@ -65,6 +65,9 @@ class SimulationConfig:
     trace_stride: int = 1
 
     def __post_init__(self):
+        # Python floats: a numpy level's repr, np.float64(0.1), would reach
+        # the bundle's trace file names and fit labels
+        object.__setattr__(self, "lambdas", tuple(map(float, self.lambdas)))
         if not self.dx > 0:
             raise ParameterError(f"dx must be > 0, got {self.dx}")
         if not self.dt > 0:
@@ -98,6 +101,8 @@ class SimState:
     right_value: float
     clamp_events: int = 0
     _grid: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # (n, margin, first cell of the right-edge fraction margin)
+    _margin_start: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -113,6 +118,17 @@ class SimState:
         if self._grid is None or self._grid.shape[0] != self.n:
             self._grid = _make_grid(self.x_left, self.dx, self.n)
         return self._grid
+
+    def margin_start(self, margin: float) -> int:
+        """First cell of the right-edge fraction ``margin`` of the width,
+        found once per domain size."""
+        cached = self._margin_start
+        if cached is None or cached[0] != self.n or cached[1] != margin:
+            edge = self.x_right - margin * ((self.n - 1) * self.dx)
+            # first cell whose position x_left + i*dx (the grid entry) is >= edge
+            cached = (self.n, margin, int(np.searchsorted(self.grid, edge)))
+            self._margin_start = cached
+        return cached[2]
 
 
 def _make_grid(x_left: float, dx: float, n: int) -> np.ndarray:
@@ -215,10 +231,10 @@ def maybe_grow_domain(state: SimState, config: SimulationConfig) -> str:
     filled with the initial data; spacing is unchanged.
     """
     margin = STATIC_MARGIN if config.growth_margin is None else config.growth_margin
-    edge = state.x_right - margin * ((state.n - 1) * state.dx)
-    # first cell whose position x_left + i*dx (the grid entry) is >= edge
-    start = int(np.searchsorted(state.grid, edge))
-    if not (state.values[start:] > min(config.lambdas) / 10.0).any():
+    start = state.margin_start(margin)
+    # fmax skips NaN unless all are NaN, and NaN compares false: the same
+    # verdict as (values[start:] > threshold).any() from one reduction
+    if not np.fmax.reduce(state.values[start:]) > min(config.lambdas) / 10.0:
         return "ok"
     if config.growth_margin is None:
         return "capped"

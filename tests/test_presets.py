@@ -124,6 +124,23 @@ class TestRunBundle:
         for name in ("snapshots.csv", "trace_lambda_0.5.csv", "plot.gp"):
             assert (tmp_path / name).exists()
 
+    def test_numpy_levels_named_as_floats(self, tmp_path):
+        config = SimulationConfig(
+            reaction=weakly_monostable(alpha=0.4),
+            data=sub_exponential(mu=5.0, beta=1.0),
+            dx=0.05, dt=0.01, t_end=2.0, x_left=-10.0, x_right=20.0,
+            snapshot_times=(2.0,), lambdas=tuple(np.array([0.1, 0.5])))
+        assert all(type(lam) is float for lam in config.lambdas)
+        messages = []
+        run_bundle(config, str(tmp_path), "numpy levels", log=messages.append)
+        assert sorted(p.name for p in tmp_path.glob("trace_*")) == [
+            "trace_lambda_0.1.csv", "trace_lambda_0.5.csv"]
+        labels = [line for line in (tmp_path / "fits.txt").read_text().splitlines()
+                  if line.startswith("[")]
+        assert labels == ["[lambda_0.1]", "[lambda_0.5]"]
+        assert [msg.split(":")[0] for msg in messages] == ["lambda=0.1", "lambda=0.5"]
+        assert "np." not in (tmp_path / "plot.gp").read_text()
+
     def test_fig9_failed_fits_skipped_and_logged(self, tmp_path, monkeypatch):
         # t_end = 0.1 leaves too few samples for any rate model in every run
         short = {label: replace(cfg, t_end=0.1, snapshot_times=())

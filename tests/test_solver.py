@@ -313,6 +313,33 @@ class TestGrowthDecision:
         assert state.x_right - 0.1 * (10 * 0.5) == state.grid[9] == 4.5
         assert maybe_grow_domain(state, cfg) == status
 
+    @pytest.mark.parametrize("margin_values, status", [
+        ([np.nan, 0.0], "ok"), ([np.nan, np.nan], "ok"),
+        ([np.nan, 0.06], "grew"), ([0.06, np.nan], "grew")])
+    def test_nan_in_margin(self, margin_values, status):
+        # cells 9 and 10 form the margin; NaN is never above the threshold
+        cfg = make_config(growth_margin=0.1)
+        values = np.zeros(11)
+        values[:4] = np.nan
+        values[9:] = margin_values
+        state = SimState(t=0.0, x_left=0.0, dx=0.5, values=values, right_value=0.0)
+        assert (values[9:] > 0.05).any() == (status == "grew")
+        assert maybe_grow_domain(state, cfg) == status
+
+    def test_margin_recomputed_after_doubling(self):
+        # 11 cells on [0, 5] have the margin 9..10; 21 cells on [0, 10] have 18..20
+        cfg = make_config(growth_margin=0.1)
+        values = np.zeros(11)
+        values[9] = 0.06
+        state = SimState(t=0.0, x_left=0.0, dx=0.5, values=values, right_value=0.0)
+        assert maybe_grow_domain(state, cfg) == "grew"
+        assert state.n == 21
+        state.values = np.zeros(21)
+        state.values[:18] = 0.06
+        assert maybe_grow_domain(state, cfg) == "ok"
+        state.values[18] = 0.06
+        assert maybe_grow_domain(state, cfg) == "grew"
+
 
 class TestStaticDomainArrest:
     def test_front_at_static_edge_truncates(self):
