@@ -7,7 +7,8 @@ Subcommands:
     classify --alpha A --family F --beta B
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 runtime/numerical error.
+3 runtime/numerical error or a run stopped truncated (its bundle is still
+written).
 """
 
 from __future__ import annotations
@@ -73,8 +74,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    out_dir = presets.run_preset(args.name, out_root=args.out)
+    out_dir, truncated = presets.run_preset(args.name, out_root=args.out)
     print(f"artifacts written to {out_dir}")
+    if truncated:
+        print(f"TRUNCATED: {', '.join(truncated)}")
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

@@ -224,12 +224,15 @@ def _run_fig2(out_dir: str, log) -> None:
                               "alpha,beta,regime,power_exponent,threshold_beta", rows)
 
 
-def _run_fig9(out_dir: str, log) -> None:
+def _run_fig9(out_dir: str, log) -> list[str]:
     alpha, r = 0.4, 1.0
     trace_files = []
     entries = []
+    truncated = []
     for label, config in FIG9_RUNS.items():
         result = run(config)
+        if result.diagnostics.truncated:
+            truncated.append(f"fig9:{label}")
         trace = result.traces[LAMBDA]
         name = f"trace_{label}.csv"
         trace.to_csv(os.path.join(out_dir, name))
@@ -250,27 +253,31 @@ def _run_fig9(out_dir: str, log) -> None:
         fh.write(reporting.trace_plot_script(
             trace_files, "level-set positions, three tail families",
             overlay_files=overlay_files))
+    return truncated
 
 
-def run_preset(name: str, out_root: str = ".", log=print) -> str:
+def run_preset(name: str, out_root: str = ".", log=print) -> tuple[str, list[str]]:
     """Execute a preset and write its artifact bundle under ``out_root/name/``.
 
-    Returns the output directory.  Figure-level sweep names run every panel.
+    Returns the output directory and the names of the runs that stopped
+    truncated.  Figure-level sweep names run every panel.
     """
     preset = get_preset(name)
     out_dir = os.path.join(out_root, preset.name)
     os.makedirs(out_dir, exist_ok=True)
+    truncated = []
     if preset.members:
         for member in preset.members:
-            run_preset(member, out_root=out_dir, log=log)
-        return out_dir
-    if preset.name == "fig1":
+            truncated += run_preset(member, out_root=out_dir, log=log)[1]
+    elif preset.name == "fig1":
         _run_fig1(out_dir, log)
     elif preset.name == "fig2":
         _run_fig2(out_dir, log)
     elif preset.name == "fig9":
-        _run_fig9(out_dir, log)
+        truncated = _run_fig9(out_dir, log)
     else:
-        run_bundle(preset.config, out_dir, preset.description,
-                   log=lambda msg: log(f"{preset.name}: {msg}"))
-    return out_dir
+        result = run_bundle(preset.config, out_dir, preset.description,
+                            log=lambda msg: log(f"{preset.name}: {msg}"))
+        if result.diagnostics.truncated:
+            truncated.append(preset.name)
+    return out_dir, truncated

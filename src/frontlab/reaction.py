@@ -87,14 +87,16 @@ def _rate_array(kind: ReactionKind, p: ReactionParams, s: np.ndarray,
     if kind is ReactionKind.KPP:
         return p.r * s * (1.0 - s)
     if kind is ReactionKind.WEAKLY_MONOSTABLE:
-        # r*s*(1 - s) / (1 - ln s)**alpha, operation by operation in place;
-        # |ln s| = -ln s on (0, 1], and at s = 1 the factor (1 - s) gives 0.
-        den = np.maximum(s, UNDERFLOW_CUTOFF)
+        # r*s*(1 - s) / (1 - ln s)**alpha, operation by operation in two
+        # arrays; |ln s| = -ln s on (0, 1], and at s = 1 the factor (1 - s)
+        # gives 0.
+        out = np.multiply(s, p.r)
+        den = np.subtract(1.0, s)
+        out *= den
+        np.maximum(s, UNDERFLOW_CUTOFF, out=den)
         np.log(den, out=den)
         np.subtract(1.0, den, out=den)
         den **= p.alpha
-        out = p.r * s
-        out *= 1.0 - s
         out /= den
     elif kind is ReactionKind.ALLEE:
         out = p.r * s ** (p.alpha + 1.0) * (1.0 - s)
@@ -110,9 +112,12 @@ def eval_f(family: ReactionFamily, s):
 
     Accepts scalars or arrays.  Raises ``DomainError`` for values outside
     [0, 1].  Exactly 0 is returned at s = 0 and s = 1 (continuous limits;
-    no logarithm of zero is ever taken).
+    no logarithm of zero is ever taken).  An array result is a new array,
+    which the caller may overwrite.
     """
-    arr = np.asarray(s, dtype=float)
+    # a 1-D float64 array, the solver's state, needs no conversion
+    vector = type(s) is np.ndarray and s.dtype == np.float64 and s.ndim == 1
+    arr = s if vector else np.asarray(s, dtype=float)
     if not arr.size:
         return np.zeros_like(arr)
     # the reductions nanmin/nanmax make, without their Python wrappers
@@ -120,6 +125,8 @@ def eval_f(family: ReactionFamily, s):
     if lo < 0.0 or hi > 1.0:
         bad = arr[(arr < 0.0) | (arr > 1.0)].flat[0]
         raise DomainError(f"state value {bad} outside [0, 1]")
+    if vector:
+        return _rate_array(family.kind, family.params, arr, lo)
     # 1-D, as arithmetic on a 0-d array gives numpy scalars, which cannot be masked
     out = _rate_array(family.kind, family.params, arr.reshape(-1), lo)
     return scalar_or_array(arr, out.reshape(arr.shape))

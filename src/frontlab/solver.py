@@ -201,13 +201,16 @@ def imex_step(state: SimState, config: SimulationConfig) -> float:
     or the maximum shows a value for them to change.
     """
     u = state.values
-    f_u = None if config.reaction is None else config.dt * eval_f(config.reaction, u)
+    f_u = None
+    if config.reaction is not None:
+        f_u = eval_f(config.reaction, u)
+        np.multiply(f_u, config.dt, out=f_u)
     mu = config.dt / config.dx ** 2
     try:
         new = kernels.theta_step(u, f_u, mu, config.theta, state.right_value)
     except ZeroDivisionError as exc:
         raise NumericalError("zero pivot in tridiagonal solve") from exc
-    lo, hi = new.min(), new.max()
+    lo, hi = np.minimum.reduce(new), np.maximum.reduce(new)
     if lo < 0.0 or hi > 1.0:
         if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
             state.clamp_events += int(np.count_nonzero(

@@ -1,7 +1,10 @@
 """Configuration parsing, round trips, and the command-line interface."""
 
+from dataclasses import replace
+
 import pytest
 
+from frontlab import presets
 from frontlab.cli import main
 from frontlab.config import config_to_text, parse_config
 from frontlab.errors import ConfigError
@@ -188,6 +191,31 @@ class TestCli:
         assert code == 3
         assert "TRUNCATED" in capsys.readouterr().out
         assert (out_dir / "snapshots.csv").exists()
+
+    def test_preset_truncated_panel_exit_three(self, tmp_path, capsys, monkeypatch):
+        # a figure whose one panel is a static [-2, 3], too narrow for its
+        # front before t = 2: every bundle is written, and the exit is 3
+        config = SimulationConfig(
+            reaction=ReactionFamily(ReactionKind.WEAKLY_MONOSTABLE, ReactionParams(alpha=0.4)),
+            data=InitialDataSpec(Family.SUB_EXPONENTIAL, 1.0, mu=5.0),
+            dx=0.05, dt=0.01, t_end=2.0, x_left=-2.0, x_right=3.0, growth_margin=None)
+        monkeypatch.setitem(presets.PRESETS, "narrowa",
+                            presets.Preset("narrowa", "narrow", "too narrow", config=config))
+        monkeypatch.setitem(presets.PRESETS, "narrow",
+                            presets.Preset("narrow", "narrow", "sweep", members=("narrowa",)))
+        code = main(["preset", "narrow", "--out", str(tmp_path)])
+        assert code == 3
+        assert "TRUNCATED: narrowa" in capsys.readouterr().out
+        assert (tmp_path / "narrow" / "narrowa" / "snapshots.csv").exists()
+
+    def test_preset_truncated_fig9_run_exit_three(self, tmp_path, capsys, monkeypatch):
+        narrow = {label: replace(cfg, t_end=2.0, snapshot_times=(), x_left=-2.0,
+                                 x_right=3.0, growth_margin=None)
+                  for label, cfg in presets.FIG9_RUNS.items()}
+        monkeypatch.setattr(presets, "FIG9_RUNS", narrow)
+        assert main(["preset", "fig9", "--out", str(tmp_path)]) == 3
+        out = capsys.readouterr().out
+        assert "TRUNCATED: " + ", ".join(f"fig9:{label}" for label in narrow) in out
 
     def test_simulate_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 2

@@ -53,21 +53,19 @@ def front_profiles(n):
     return [tail, np.minimum(1.0, 1e3 * tail / (1.0 + np.exp(30.0 * (x - 0.3))))]
 
 
-def block_count(n, mu, theta):
-    # blocks in the scan's block segment for n cells (0: the head segment
-    # takes the whole sweep)
-    fwd = kernels._factor(n, mu, theta)[2]
-    return fwd[-1].g.shape[0] if len(fwd) > 1 else 0
+def row_count(n, mu, theta):
+    # rows of the scan's (R, L) view for n cells
+    return kernels._factor(n, mu, theta)[3].g.shape[0]
 
 
-def first_size_with(blocks, mu, theta):
-    # the smallest grid whose scan has this many blocks, by bisection
+def first_size_with(rows, mu, theta):
+    # the smallest grid whose scan has this many rows, by bisection
     lo, hi = 3, 4
-    while block_count(hi, mu, theta) < blocks:
+    while row_count(hi, mu, theta) < rows:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if block_count(mid, mu, theta) >= blocks else (mid, hi)
+        lo, hi = (lo, mid) if row_count(mid, mu, theta) >= rows else (mid, hi)
     return hi
 
 
@@ -136,16 +134,17 @@ class TestThetaStep:
             out = kernels.theta_step(out, np.zeros_like(out), 1.0, 1.0, out[-1])
         assert np.sum(out) == pytest.approx(np.sum(u), rel=1e-10)
 
-    # "edge k": the first grid with k blocks and its two neighbours
+    # "edge k": the first grid whose scan carries across k row boundaries
+    # (k + 1 rows) and its two neighbours
     @pytest.mark.parametrize("n", [3, 4, 5, 257, 2601, "edge 1", "edge 2", "edge 8"])
     @pytest.mark.parametrize("mu", [5e-4, 0.4, 4.0, 100.0])
     @pytest.mark.parametrize("theta", [0.5, 0.8, 1.0])
     def test_matches_thomas_oracle(self, theta, mu, n):
         sizes = [n]
         if isinstance(n, str):
-            blocks = int(n.split()[1])
-            edge = first_size_with(blocks, mu, theta)
-            assert block_count(edge - 1, mu, theta) == blocks - 1
+            rows = int(n.split()[1]) + 1
+            edge = first_size_with(rows, mu, theta)
+            assert row_count(edge - 1, mu, theta) == rows - 1
             sizes = [edge - 1, edge, edge + 1]
         for size in sizes:
             for u in front_profiles(size):
@@ -157,38 +156,54 @@ class TestThetaStep:
         # filterwarnings = error this also shows that no factor overflows
         assert_close_to_oracle(front_profiles(26090)[1], mu, 0.5)
 
-    def test_cache_holds_work_arrays_and_block_vectors(self):
-        # beyond its two work arrays a grid's factor keeps vectors of about
-        # one block length, not of the grid's length
+    def test_cache_holds_work_arrays_and_factors(self):
+        # beyond its two work arrays a grid's factor keeps the four (R, L)
+        # factor arrays: at most 4(n - 1 + R) floats, as the pads number
+        # fewer than R
         n = 26090
-        d, x, fwd, bwd = kernels._factor(n, 4.0, 1.0)
-        block = fwd[-1].g.shape[1]
+        d, pad, x, fwd, bwd = kernels._factor(n, 4.0, 1.0)
+        rows, width = fwd.g.shape
         bases = {}
-        for seg in fwd + bwd:
-            for arr in seg:
-                if isinstance(arr, np.ndarray):
-                    while arr.base is not None:
-                        arr = arr.base
-                    bases[id(arr)] = arr
-        extra = sum(a.nbytes for key, a in bases.items() if key not in (id(d), id(x)))
-        assert d.nbytes + x.nbytes == 8 * (2 * n - 1)
-        assert extra <= 10 * 8 * block
-        assert 10 * block < n / 3
+        for arr in (d, pad, x, *fwd, *bwd):
+            if isinstance(arr, np.ndarray):
+                while arr.base is not None:
+                    arr = arr.base
+                bases[id(arr)] = arr
+        work = {id(d.base): d.base, id(x.base): x.base}
+        extra = sum(a.nbytes for key, a in bases.items() if key not in work)
+        assert sum(a.nbytes for a in work.values()) == 8 * (2 * rows * width + 1)
+        assert pad.size == rows * width - (n - 1) < rows
+        assert extra <= 4 * 8 * (n - 1 + rows)
 
     @pytest.mark.parametrize("mu", [1e-6, 5e-4, 0.4, 4.0, 100.0, 1e4])
     def test_factors_within_scale_bound(self, mu):
-        # the design bound s**-B <= 2**600: no factor of a row leaves
-        # [2**-600, 2**600], on the grids with the longest head segment
-        # for 0, 1 and 2 blocks
-        for blocks in (1, 2, 3):
-            n = first_size_with(blocks, mu, 1.0) - 1
-            _, _, fwd, bwd = kernels._factor(n, mu, 1.0)
-            for seg in fwd + bwd:
-                assert seg.pre.max() <= 2.0 ** kernels.SCALE_BITS
-                assert seg.post.min() >= 2.0 ** -kernels.SCALE_BITS
+        # the design bound s**-L <= 2**600: no factor of a row, pads
+        # included, leaves [2**-600, 2**600], on the grids with the longest
+        # rows for 1, 2 and 3 rows; the pads get pre = 0
+        for rows in (2, 3, 4):
+            n = first_size_with(rows, mu, 1.0) - 1
+            _, pad, _, fwd, bwd = kernels._factor(n, mu, 1.0)
+            for sweep in (fwd, bwd):
+                assert sweep.pre.max() <= 2.0 ** kernels.SCALE_BITS
+                assert sweep.post.min() >= 2.0 ** -kernels.SCALE_BITS
+            if pad.size:
+                assert not fwd.pre.reshape(-1)[-pad.size:].any()
+                assert not bwd.pre.reshape(-1)[:pad.size].any()
+
+    def test_nan_step_leaves_no_trace(self):
+        # a NaN state poisons its own step only: the pad cells of the
+        # cached factor must not carry it into the next step on the grid
+        mu, theta = 5e-4, 1.0
+        n = first_size_with(3, mu, theta) + 1
+        assert kernels._factor(n, mu, theta)[1].size
+        u = front_profiles(n)[1]
+        bad = u.copy()
+        bad[n // 2] = np.nan
+        assert np.isnan(kernels.theta_step(bad, None, mu, theta, u[-1])).any()
+        assert_close_to_oracle(u, mu, theta)
 
     def test_too_small_mu_reported(self):
-        # a coefficient below 2**-600 leaves no room for a block
+        # a coefficient below 2**-600 leaves no room for a row
         with pytest.raises(NumericalError):
             kernels.theta_step(np.ones(10), None, 1e-300, 1.0, 1.0)
 
