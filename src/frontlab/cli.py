@@ -7,8 +7,8 @@ Subcommands:
     classify --alpha A --family F --beta B
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 runtime/numerical error or a run stopped truncated (its bundle is still
-written).
+3 runtime/numerical error, or a run that stopped truncated or reported clamp
+events (its bundle is still written).
 """
 
 from __future__ import annotations
@@ -69,17 +69,21 @@ def _cmd_simulate(args) -> int:
     diag = result.diagnostics
     print(f"done: {diag.n_steps} steps, {diag.final_cells} cells, "
           f"{diag.clamp_events} clamp events, {diag.growth_events} growths"
-          + (", TRUNCATED" if diag.truncated else ""))
-    return EXIT_RUNTIME if diag.truncated else EXIT_OK
+          + (", TRUNCATED" if diag.truncated else "")
+          + (", CLAMPED" if diag.clamp_events else ""))
+    return EXIT_RUNTIME if diag.truncated or diag.clamp_events else EXIT_OK
 
 
 def _cmd_preset(args) -> int:
-    out_dir, truncated = presets.run_preset(args.name, out_root=args.out)
+    out_dir, runs = presets.run_preset(args.name, out_root=args.out)
     print(f"artifacts written to {out_dir}")
+    truncated = [name for name, diag in runs if diag.truncated]
+    clamped = [name for name, diag in runs if diag.clamp_events]
     if truncated:
         print(f"TRUNCATED: {', '.join(truncated)}")
-        return EXIT_RUNTIME
-    return EXIT_OK
+    if clamped:
+        print(f"CLAMPED: {', '.join(clamped)}")
+    return EXIT_RUNTIME if truncated or clamped else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

@@ -34,11 +34,11 @@ from .reaction import ReactionFamily, ReactionKind, ReactionParams
 from .solver import SimulationConfig
 
 _SECTIONS = {
-    "reaction": {"family", "r", "alpha", "k", "s0"},
+    "reaction": {"family", "r", "alpha"},
     "initial_data": {"family", "beta", "mu", "scale"},
     "grid": {"dx", "x_left", "x_right", "growth", "growth_margin", "cell_cap", "floor"},
-    "time": {"dt", "t_end", "theta", "snapshot_times"},
-    "measurement": {"lambdas", "trace_stride"},
+    "time": {"dt", "t_end", "snapshot_times"},
+    "measurement": {"lambdas"},
 }
 
 _REQUIRED = {
@@ -116,8 +116,6 @@ def parse_config(text: str) -> SimulationConfig:
         params = ReactionParams(**_present(
             r=_get(entries, "reaction", "r", float),
             alpha=_get(entries, "reaction", "alpha", float),
-            K=_get(entries, "reaction", "k", float),
-            s0=_get(entries, "reaction", "s0", float),
         ))
         reaction = ReactionFamily(rkind, params)
 
@@ -141,12 +139,10 @@ def parse_config(text: str) -> SimulationConfig:
             t_end=_get(entries, "time", "t_end", float),
             x_left=_get(entries, "grid", "x_left", float),
             x_right=_get(entries, "grid", "x_right", float),
-            theta=_get(entries, "time", "theta", float),
             snapshot_times=_get(entries, "time", "snapshot_times", _float_list),
             lambdas=_get(entries, "measurement", "lambdas", _float_list),
             cell_cap=_get(entries, "grid", "cell_cap", int),
             floor=_get(entries, "grid", "floor", float),
-            trace_stride=_get(entries, "measurement", "trace_stride", int),
         )
         if growth == "static":
             fields["growth_margin"] = None
@@ -172,8 +168,6 @@ def config_to_text(config: SimulationConfig) -> str:
         f"family = {config.reaction.kind.value}",
         f"r = {p.r!r}",
         f"alpha = {p.alpha!r}",
-        f"k = {p.K!r}",
-        f"s0 = {p.s0!r}",
         "",
         "[initial_data]",
         f"family = {d.family.value}",
@@ -195,11 +189,9 @@ def config_to_text(config: SimulationConfig) -> str:
         lines.append(f"growth_margin = {config.growth_margin!r}")
     lines.append(f"cell_cap = {config.cell_cap}")
     lines.append(f"floor = {config.floor!r}")
-    lines += ["", "[time]", f"dt = {config.dt!r}", f"t_end = {config.t_end!r}",
-              f"theta = {config.theta!r}"]
+    lines += ["", "[time]", f"dt = {config.dt!r}", f"t_end = {config.t_end!r}"]
     if config.snapshot_times:
         lines.append("snapshot_times = " + ", ".join(repr(t) for t in config.snapshot_times))
     lines += ["", "[measurement]",
-              "lambdas = " + ", ".join(repr(l) for l in config.lambdas),
-              f"trace_stride = {config.trace_stride}"]
+              "lambdas = " + ", ".join(repr(l) for l in config.lambdas)]
     return "\n".join(lines) + "\n"

@@ -14,13 +14,14 @@ bracket stays >= 1, i.e. right of the saturation edge x0(t) where w = 1.
 Everything in this module is a direct evaluation of w, its derivatives, or
 compositions of w with the tail inverse U0: upper barriers (supersolutions),
 the quadratic-cutoff lower barrier (subsolution), level-set envelopes, and
-the spreading-regime classifier.
+the spreading-regime classifier.  The lower barrier takes the paper's
+constants zeta = s0 = 1, which leaves it one parameter, its amplitude M.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -191,34 +192,17 @@ def quadratic_cutoff(y, M: float):
 
 @dataclass(frozen=True)
 class SubsolutionParams:
-    """Cutoff amplitude M with the plateau floor zeta and bound threshold s0.
+    """Cutoff amplitude M of the lower barrier.
 
-    Admissibility requires M >= max{1/(2*zeta), 1/(4*s0)} so the barrier
-    values stay in (0, s0] and below the initial plateau.
+    Admissibility requires M >= max{1/(2*zeta), 1/(4*s0)} = 1/2, so the
+    barrier values stay in (0, 1/2] and below the initial plateau.
     """
 
     M: float
-    zeta: float = 1.0
-    s0: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.zeta <= 1:
-            raise ParameterError(f"zeta must be in (0, 1], got {self.zeta}")
-        if not 0 < self.s0 <= 1:
-            raise ParameterError(f"s0 must be in (0, 1], got {self.s0}")
-        if self.M < self.threshold:
-            raise ParameterError(
-                f"M={self.M} below admissible threshold {self.threshold}")
-
-    @property
-    def threshold(self) -> float:
-        return max(1.0 / (2.0 * self.zeta), 1.0 / (4.0 * self.s0))
-
-
-def default_subsolution_params(s0: float = 1.0) -> SubsolutionParams:
-    """The amplitude M = max(10, threshold): at least 10, and admissible."""
-    params = SubsolutionParams(M=math.inf, s0=s0)
-    return replace(params, M=max(10.0, params.threshold))
+        if not self.M >= 0.5:
+            raise ParameterError(f"M={self.M} below admissible threshold 0.5")
 
 
 def subsolution(params: SubsolutionParams, profile: OdeProfile, t: float, x):
@@ -258,11 +242,11 @@ def calibrate_subsolution(profile: OdeProfile, family: ReactionFamily,
         raise ParameterError("subsolution needs rho < r")
     if not profile.rho > 0.75 * r:
         raise ParameterError("subsolution needs rho > 3r/4")
-    params = default_subsolution_params(s0=family.params.s0)
+    params = SubsolutionParams(M=10.0)
     for _ in range(_MAX_DOUBLINGS + 1):
         if _subsolution_ok(params, profile, family, t_grid, x_max):
             return params
-        params = replace(params, M=2.0 * params.M)
+        params = SubsolutionParams(M=2.0 * params.M)
     raise CalibrationError(
         f"subsolution amplitude doubling did not validate within {_MAX_DOUBLINGS} steps")
 

@@ -1,12 +1,12 @@
-"""Hot numeric kernel: the theta-weighted diffusion step.
+"""Hot numeric kernel: the backward Euler diffusion step.
 
-Each step solves (I - theta*mu*L) u_new = rhs, mu = dt/dx**2, L the 3-point
+Each step solves (I - mu*L) u_new = rhs, mu = dt/dx**2, L the 3-point
 Laplacian, with a reflecting (zero-flux) row on the left and a pinned
-Dirichlet row on the right.  The matrix is strictly diagonally dominant for
-theta in [1/2, 1], so the zero-pivot check is purely defensive.  It depends
-only on (n, mu, theta): ``_factor`` computes its Thomas pivots once, and a
-step is left with two first-order linear recurrences g[i] = s*g[i-1] + d[i]
-(the elimination and the back-substitution).  Each is a blocked prefix sum
+Dirichlet row on the right.  The matrix is strictly diagonally dominant, so
+the zero-pivot check is purely defensive.  It depends only on (n, mu):
+``_factor`` computes its Thomas pivots once, and a step is left with two
+first-order linear recurrences g[i] = s*g[i-1] + d[i] (the elimination and
+the back-substitution).  Each is a blocked prefix sum
 (Blelloch 1990) over the n - 1 unpinned cells laid out as one (R, L) view:
 R = ceil((n-1)/limit) rows of L = ceil((n-1)/R) cells, where limit is the
 longest row whose factors stay within 2**-600..2**600.  Inside a row
@@ -19,12 +19,11 @@ which holds the few pivots that have not reached their fixed point, has
 exact per-cell factors; every other row repeats the settled powers.  The
 R*L - (n-1) < R pad cells sit at the end of the elimination and at the start
 of the back-substitution, which reads the elimination's end backwards; they
-get pre = 0.  A step makes 15 numpy calls at theta = 1, whatever n and mu:
-the rhs, six per sweep (multiply, row sums and their list, the carries,
-accumulate, multiply), zeroing the pads and the reversed copy.  A grid that
-fits one row skips the row sums and carries, 9 calls in all.  The cache
-per grid holds the two work arrays and the four (R, L) factor arrays, about
-6n floats.
+get pre = 0.  A step makes 15 numpy calls, whatever n and mu: the rhs, six
+per sweep (multiply, row sums and their list, the carries, accumulate,
+multiply), zeroing the pads and the reversed copy.  A grid that fits one row
+skips the row sums and carries, 9 calls in all.  The cache per grid holds
+the two work arrays and the four (R, L) factor arrays, about 6n floats.
 numpy only: importing scipy.linalg for its banded solvers would double the
 resident memory of a small run and add about 0.3 s to start-up.
 """
@@ -85,33 +84,32 @@ def _exact_powers(num, den, j):
 
 
 @lru_cache(maxsize=4)
-def _factor(n, mu, theta):
+def _factor(n, mu):
     # Thomas pivots of the step matrix for n cells, then the two sweeps: the
     # elimination over d, the rhs without the pinned row (cell i divides by
-    # piv[i] and carries tm/piv[i] of cell i-1, cell 0 carries nothing), and
+    # piv[i] and carries mu/piv[i] of cell i-1, cell 0 carries nothing), and
     # the back-substitution over y = x[1:], the cells in reverse order after
     # the pinned x[0] (coefficient -cp).  Cells 0..m-1 have not reached the
     # pivots' fixed point; they open the elimination's first row and close
     # the back-substitution's last.
-    tm = theta * mu
-    b_in = 1.0 + 2.0 * tm
+    b_in = 1.0 + 2.0 * mu
     cells = n - 1
     piv = np.empty(cells, dtype=np.float64)
     cp = np.empty(cells, dtype=np.float64)
     piv[0] = b_in
-    cp[0] = -2.0 * tm / b_in
+    cp[0] = -2.0 * mu / b_in
     m = cells
     for i in range(1, cells):
-        piv[i] = b_in - (-tm) * cp[i - 1]
+        piv[i] = b_in - (-mu) * cp[i - 1]
         if piv[i] == 0.0:
             raise ZeroDivisionError("zero pivot in tridiagonal solve")
-        cp[i] = -tm / piv[i]
+        cp[i] = -mu / piv[i]
         if cp[i] == cp[i - 1]:
             # the pivot recurrence has reached its fixed point exactly
             piv[i:], cp[i:], m = piv[i], cp[i], i
             break
     inv_piv = 1.0 / piv
-    a = tm * inv_piv  # a[0] is unused: cell 0 carries nothing
+    a = mu * inv_piv  # a[0] is unused: cell 0 carries nothing
     c = -cp[::-1]
     # every coefficient but a[0] lies in [s, 1), so a row of up to `limit`
     # cells keeps its factors within 2**-SCALE_BITS..2**SCALE_BITS; the
@@ -124,8 +122,8 @@ def _factor(n, mu, theta):
     pads = rows * width - cells
     d_buf, x_buf = np.zeros(rows * width), np.zeros(1 + rows * width)
     # the elimination divides by the settled pivot cell after cell, so its
-    # factors are powers of the exact quotient tm/piv
-    powers = _exact_powers(tm, piv[-1], np.arange(width + 1.0))
+    # factors are powers of the exact quotient mu/piv
+    powers = _exact_powers(mu, piv[-1], np.arange(width + 1.0))
     post = np.empty((rows, width))
     post[1:] = powers[:-1]
     post[0, 0] = 1.0
@@ -153,23 +151,22 @@ def _factor(n, mu, theta):
     return d_buf[:cells], d_buf[cells:], x_buf[pads:], fwd, bwd
 
 
-def theta_step(u, f_u, mu, theta, right_value):
+def theta_step(u, f_u, mu, right_value):
     """One IMEX step: explicit reaction increment ``f_u`` (already multiplied
-    by dt; None for pure diffusion), theta-implicit diffusion, reflecting
+    by dt; None for pure diffusion), backward Euler diffusion, reflecting
     left and pinned right boundary.  Returns a new array whose last entry is
     ``right_value``.
 
-    The step works in buffers kept with its factor, so it is not re-entrant.
+    The benchmark (``perfbench/tracing.py``) times this function by its
+    name, ``frontlab.kernels.theta_step``, and counts its cells from
+    argument 0, so both the name and ``u`` as the first argument stay.  The
+    step works in buffers kept with its factor, so it is not re-entrant.
     """
-    d, pad, x, fwd, bwd = _factor(u.shape[0], mu, theta)
-    omt = (1.0 - theta) * mu
+    d, pad, x, fwd, bwd = _factor(u.shape[0], mu)
     if f_u is None:
         d[:] = u[:-1]
     else:
         np.add(u[:-1], f_u[:-1], out=d)
-    if omt:
-        d[0] += omt * (2.0 * u[1] - 2.0 * u[0])
-        d[1:] += omt * (u[:-2] - 2.0 * u[1:-1] + u[2:])
     _scan(fwd, 0.0)
     # back-substitution from the pinned last cell down: its pre-scale reads
     # d backwards into x[1:], so the scan runs on contiguous memory.  It

@@ -25,7 +25,7 @@ from .measurement import select_model
 from .reaction import (ReactionParams, compare_families_near_zero,
                        weakly_monostable)
 from .errors import AnalysisError, InputError
-from .solver import RunResult, SimulationConfig, run
+from .solver import Diagnostics, RunResult, SimulationConfig, run
 
 DX = 0.05
 DT = 0.01
@@ -224,15 +224,14 @@ def _run_fig2(out_dir: str, log) -> None:
                               "alpha,beta,regime,power_exponent,threshold_beta", rows)
 
 
-def _run_fig9(out_dir: str, log) -> list[str]:
+def _run_fig9(out_dir: str, log) -> list[tuple[str, Diagnostics]]:
     alpha, r = 0.4, 1.0
     trace_files = []
     entries = []
-    truncated = []
+    runs = []
     for label, config in FIG9_RUNS.items():
         result = run(config)
-        if result.diagnostics.truncated:
-            truncated.append(f"fig9:{label}")
+        runs.append((f"fig9:{label}", result.diagnostics))
         trace = result.traces[LAMBDA]
         name = f"trace_{label}.csv"
         trace.to_csv(os.path.join(out_dir, name))
@@ -253,31 +252,31 @@ def _run_fig9(out_dir: str, log) -> list[str]:
         fh.write(reporting.trace_plot_script(
             trace_files, "level-set positions, three tail families",
             overlay_files=overlay_files))
-    return truncated
+    return runs
 
 
-def run_preset(name: str, out_root: str = ".", log=print) -> tuple[str, list[str]]:
+def run_preset(name: str, out_root: str = ".",
+               log=print) -> tuple[str, list[tuple[str, Diagnostics]]]:
     """Execute a preset and write its artifact bundle under ``out_root/name/``.
 
-    Returns the output directory and the names of the runs that stopped
-    truncated.  Figure-level sweep names run every panel.
+    Returns the output directory and the (name, diagnostics) of every
+    simulation it ran.  Figure-level sweep names run every panel.
     """
     preset = get_preset(name)
     out_dir = os.path.join(out_root, preset.name)
     os.makedirs(out_dir, exist_ok=True)
-    truncated = []
+    runs = []
     if preset.members:
         for member in preset.members:
-            truncated += run_preset(member, out_root=out_dir, log=log)[1]
+            runs += run_preset(member, out_root=out_dir, log=log)[1]
     elif preset.name == "fig1":
         _run_fig1(out_dir, log)
     elif preset.name == "fig2":
         _run_fig2(out_dir, log)
     elif preset.name == "fig9":
-        truncated = _run_fig9(out_dir, log)
+        runs = _run_fig9(out_dir, log)
     else:
         result = run_bundle(preset.config, out_dir, preset.description,
                             log=lambda msg: log(f"{preset.name}: {msg}"))
-        if result.diagnostics.truncated:
-            truncated.append(preset.name)
-    return out_dir, truncated
+        runs.append((preset.name, result.diagnostics))
+    return out_dir, runs

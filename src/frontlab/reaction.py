@@ -9,8 +9,9 @@ degenerate Allee rate r*s**alpha*(1-s) near s = 0.  Both reference families
 are provided for comparison plots, and ``verify_hypothesis_bounds`` checks
 an arbitrary vectorised reaction against the two-sided per-capita envelope
 
-    f(s) <= r*s/(1+|ln s|)**alpha                 on (0, 1),
-    f(s) >= r*s/(1+|ln s|)**alpha * (1 - K*s)     on (0, s0].
+    r*s*(1 - s)/(1+|ln s|)**alpha <= f(s) <= r*s/(1+|ln s|)**alpha   on (0, 1),
+
+the paper's hypothesis with its constants K = 1 and s0 = 1.
 """
 
 from __future__ import annotations
@@ -37,22 +38,16 @@ class ReactionKind(Enum):
 
 @dataclass(frozen=True)
 class ReactionParams:
-    """Growth rate r, degeneracy exponent alpha, and lower-bound data (K, s0)."""
+    """Growth rate r and degeneracy exponent alpha."""
 
     r: float = 1.0
     alpha: float = 0.4
-    K: float = 1.0
-    s0: float = 1.0
 
     def __post_init__(self):
         if not self.r > 0:
             raise ParameterError(f"growth rate r must be > 0, got {self.r}")
         if not self.alpha > 0:
             raise ParameterError(f"exponent alpha must be > 0, got {self.alpha}")
-        if self.K < 0:
-            raise ParameterError(f"correction coefficient K must be >= 0, got {self.K}")
-        if not 0 < self.s0 <= 1:
-            raise ParameterError(f"threshold s0 must be in (0, 1], got {self.s0}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,6 @@ class HypothesisReport:
     upper_ok: bool
     lower_ok: bool
     n_checked: int
-    n_lower_checked: int
     upper_violation: BoundViolation | None = None
     lower_violation: BoundViolation | None = None
 
@@ -165,10 +159,10 @@ def verify_hypothesis_bounds(params: ReactionParams,
                              grid: Sequence[float]) -> HypothesisReport:
     """Check ``f`` against the per-capita envelope on sample points in (0, 1).
 
-    ``f`` maps the whole sample array to its rates in one call.  The upper
-    bound is tested at every grid point; the lower bound only at points
-    <= s0.  On failure the report carries the worst witness (largest excess /
-    deficit) with both sides of the inequality.
+    ``f`` maps the whole sample array to its rates in one call.  Both
+    bounds are tested at every grid point.  On failure the report carries
+    the worst witness (largest excess / deficit) with both sides of the
+    inequality.
     """
     s = np.asarray(grid, dtype=float)
     if s.size == 0:
@@ -186,20 +180,16 @@ def verify_hypothesis_bounds(params: ReactionParams,
         i = int(np.argmax(excess))
         upper_witness = BoundViolation(float(s[i]), float(fs[i]), float(upper[i]))
 
-    low_mask = s <= params.s0
-    s_low = s[low_mask]
-    # same evaluation order as the canonical rate so K = 1 gives exact equality
-    lower = (params.r * s_low * (1.0 - params.K * s_low)
-             / (1.0 - np.log(s_low)) ** params.alpha)
-    deficit = lower - fs[low_mask]
+    # same evaluation order as the canonical rate, which meets it exactly
+    lower = params.r * s * (1.0 - s) / (1.0 - np.log(s)) ** params.alpha
+    deficit = lower - fs
     lower_ok = bool(np.all(deficit <= 0.0))
     lower_witness = None
     if not lower_ok:
         j = int(np.argmax(deficit))
-        sj = s[low_mask][j]
-        lower_witness = BoundViolation(float(sj), float(fs[low_mask][j]), float(lower[j]))
+        lower_witness = BoundViolation(float(s[j]), float(fs[j]), float(lower[j]))
 
-    return HypothesisReport(upper_ok, lower_ok, int(s.size), int(low_mask.sum()),
+    return HypothesisReport(upper_ok, lower_ok, int(s.size),
                             upper_witness, lower_witness)
 
 

@@ -1,8 +1,7 @@
 """IMEX finite-difference integration of u_t = u_xx + f(u) on a growing 1D grid.
 
 Time stepping treats the reaction explicitly and the diffusion with a
-theta-weighted implicit solve (theta = 1: backward Euler, unconditionally
-monotone; theta = 1/2: Crank-Nicolson, for accuracy studies).  Boundary
+backward Euler solve, which is unconditionally monotone.  Boundary
 conditions: zero-flux on the left (the solution sits on its plateau there)
 and Dirichlet on the right, pinned to the undisturbed initial tail value.
 
@@ -12,7 +11,8 @@ new cells with the initial data.  A static domain gets the same test with
 the default margin 0.1: when the front reaches it, the run stops and is
 flagged truncated, as the pinned boundary would otherwise arrest the front
 silently.  Clamping of the state into [0, 1] is a diagnostic safety net:
-production runs must report zero clamp events.
+production runs must report zero clamp events, and the CLI exits 3 when a
+run reports any.
 """
 
 from __future__ import annotations
@@ -56,13 +56,11 @@ class SimulationConfig:
     t_end: float
     x_left: float | None = None
     x_right: float | None = None
-    theta: float = 1.0
     snapshot_times: tuple[float, ...] = ()
     lambdas: tuple[float, ...] = (0.5,)
     growth_margin: float | None = 0.1
     cell_cap: int = 4_000_000
     floor: float = 1e-300
-    trace_stride: int = 1
 
     def __post_init__(self):
         # Python floats: a numpy level's repr, np.float64(0.1), would reach
@@ -74,8 +72,6 @@ class SimulationConfig:
             raise ParameterError(f"dt must be > 0, got {self.dt}")
         if self.t_end < 0:
             raise ParameterError(f"t_end must be >= 0, got {self.t_end}")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ParameterError(f"theta must be in [1/2, 1], got {self.theta}")
         if any(not 0 < lam < 1 for lam in self.lambdas):
             raise ParameterError(f"levels must lie in (0, 1), got {self.lambdas}")
         if any(ts < 0 or ts > self.t_end + 1e-9 for ts in self.snapshot_times):
@@ -86,8 +82,6 @@ class SimulationConfig:
             raise ParameterError(f"growth margin must be in (0, 1), got {self.growth_margin}")
         if self.floor < 0:
             raise ParameterError(f"floor must be >= 0, got {self.floor}")
-        if self.trace_stride < 1:
-            raise ParameterError(f"trace stride must be >= 1, got {self.trace_stride}")
         if self.cell_cap < 3:
             raise ParameterError("cell cap must allow at least 3 cells")
 
@@ -194,7 +188,7 @@ def initialize_state(config: SimulationConfig,
 
 
 def imex_step(state: SimState, config: SimulationConfig) -> float:
-    """Advance one step: explicit reaction, theta-implicit diffusion, clamp.
+    """Advance one step: explicit reaction, backward Euler diffusion, clamp.
 
     Returns the smallest new value before clamping, NaN when any value is
     NaN.  The clamp count, clip and floor passes run only when that minimum
@@ -207,7 +201,7 @@ def imex_step(state: SimState, config: SimulationConfig) -> float:
         np.multiply(f_u, config.dt, out=f_u)
     mu = config.dt / config.dx ** 2
     try:
-        new = kernels.theta_step(u, f_u, mu, config.theta, state.right_value)
+        new = kernels.theta_step(u, f_u, mu, state.right_value)
     except ZeroDivisionError as exc:
         raise NumericalError("zero pivot in tridiagonal solve") from exc
     lo, hi = np.minimum.reduce(new), np.maximum.reduce(new)
@@ -279,7 +273,8 @@ class RunResult:
 
 def run(config: SimulationConfig,
         initial_values: np.ndarray | None = None) -> RunResult:
-    """Integrate from t = 0 to t_end, recording snapshots and level traces.
+    """Integrate from t = 0 to t_end, recording snapshots and, at every
+    step, the level traces.
 
     ``initial_values`` overrides the sampled initial data (diagnostic hook
     for convergence tests); domain growth still fills with the configured
@@ -327,8 +322,7 @@ def run(config: SimulationConfig,
         state.t = k * config.dt  # keep time exact; avoids accumulation drift
         if math.isnan(lo):
             raise SolverError(f"NaN in state at t={state.t}", t=state.t)
-        if k % config.trace_stride == 0 or k == n_steps:
-            record_trace(state.t)
+        record_trace(state.t)
         if k in snap_steps:
             record_snapshot(snap_steps[k])
             mass.append(float(state.values.sum()) * state.dx)

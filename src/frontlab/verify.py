@@ -50,7 +50,7 @@ def verify_hypothesis(alphas=(0.2, 0.4, 0.6), n_grid: int = 10_000) -> list[Chec
     grid = log_sample_grid(n_grid)
     checks = []
     for alpha in alphas:
-        params = ReactionParams(r=1.0, alpha=alpha, K=1.0, s0=1.0)
+        params = ReactionParams(r=1.0, alpha=alpha)
         family = weakly_monostable(alpha=alpha)
         report = verify_hypothesis_bounds(params, family, grid)
         n_bad = (0 if report.upper_ok else 1) + (0 if report.lower_ok else 1)

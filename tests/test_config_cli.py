@@ -30,6 +30,14 @@ dt = 0.01
 t_end = 8.0
 """
 
+# r = 50 at dt = 0.1: the explicit reaction step overshoots [0, 1] (1623
+# clamp events by t = 1) while the front stays clear of the static edge
+CLAMPING = SimulationConfig(
+    reaction=ReactionFamily(ReactionKind.WEAKLY_MONOSTABLE,
+                            ReactionParams(r=50.0, alpha=0.4)),
+    data=InitialDataSpec(Family.SUB_EXPONENTIAL, 1.0, mu=5.0),
+    dx=0.05, dt=0.1, t_end=1.0, x_left=-10.0, x_right=60.0, growth_margin=None)
+
 
 class TestParseConfig:
     def test_minimal_with_defaults(self):
@@ -38,7 +46,6 @@ class TestParseConfig:
         assert cfg.reaction.params.r == 1.0
         assert cfg.data.family is Family.ALGEBRAIC
         assert cfg.data.scale == 100.0
-        assert cfg.theta == 1.0
         assert cfg.floor == 1e-300
         assert cfg.growth_margin == 0.1
         assert cfg.lambdas == (0.5,)
@@ -57,10 +64,20 @@ class TestParseConfig:
         text = MINIMAL.replace("scale = 100.0\n", "").replace("beta = 1.0", "beta = 0.7")
         assert parse_config(text).data == algebraic(0.7)
 
-    def test_theta_out_of_range_rejected(self):
-        bad = MINIMAL + "\n[time]\n"  # appending a duplicate section is fine
-        with pytest.raises(ConfigError):
-            parse_config(MINIMAL.replace("t_end = 8.0", "t_end = 8.0\ntheta = 0.3"))
+    @pytest.mark.parametrize("section, key", [
+        ("time", "theta"), ("measurement", "trace_stride"),
+        ("reaction", "k"), ("reaction", "s0")])
+    def test_removed_key_rejected(self, section, key, tmp_path, capsys):
+        # a section may open twice, so the key can follow the whole document
+        text = MINIMAL + f"\n[{section}]\n{key} = 1\n"
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        assert (exc_info.value.key, exc_info.value.line) == (key, line)
+        path = tmp_path / "removed.cfg"
+        path.write_text(text)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown key {key!r} in [{section}] at line {line}" in capsys.readouterr().err
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError):
@@ -216,6 +233,32 @@ class TestCli:
         assert main(["preset", "fig9", "--out", str(tmp_path)]) == 3
         out = capsys.readouterr().out
         assert "TRUNCATED: " + ", ".join(f"fig9:{label}" for label in narrow) in out
+
+    def test_simulate_clamped_exit_three(self, tmp_path, capsys):
+        config_path = tmp_path / "clamping.cfg"
+        config_path.write_text(config_to_text(CLAMPING))
+        code = main(["simulate", str(config_path), "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "clamp events" in out and out.rstrip().endswith(", CLAMPED")
+        assert "TRUNCATED" not in out
+
+    def test_preset_clamped_panel_exit_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(presets.PRESETS, "clampa",
+                            presets.Preset("clampa", "clamp", "clamps", config=CLAMPING))
+        monkeypatch.setitem(presets.PRESETS, "clamp",
+                            presets.Preset("clamp", "clamp", "sweep", members=("clampa",)))
+        assert main(["preset", "clamp", "--out", str(tmp_path)]) == 3
+        out = capsys.readouterr().out
+        assert "CLAMPED: clampa" in out and "TRUNCATED" not in out
+
+    def test_preset_clamped_fig9_run_exit_three(self, tmp_path, capsys, monkeypatch):
+        clamping = {label: replace(CLAMPING, data=cfg.data)
+                    for label, cfg in presets.FIG9_RUNS.items()}
+        monkeypatch.setattr(presets, "FIG9_RUNS", clamping)
+        assert main(["preset", "fig9", "--out", str(tmp_path)]) == 3
+        out = capsys.readouterr().out
+        assert "CLAMPED: " + ", ".join(f"fig9:{label}" for label in clamping) in out
 
     def test_simulate_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 2

@@ -200,8 +200,6 @@ class TestSubsolution:
         with pytest.raises(ParameterError):
             SubsolutionParams(M=0.4)  # below max(1/(2*1), 1/(4*1)) = 0.5
         SubsolutionParams(M=0.5)  # boundary admissible
-        with pytest.raises(ParameterError):
-            SubsolutionParams(M=1.0, s0=0.1)  # needs M >= 2.5
 
     def test_calibration_validates(self):
         profile = OdeProfile(0.875, 0.4, ALG)

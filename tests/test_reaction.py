@@ -108,10 +108,6 @@ class TestEvalF:
             ReactionParams(r=0.0, alpha=0.4)
         with pytest.raises(ParameterError):
             ReactionParams(r=1.0, alpha=0.0)
-        with pytest.raises(ParameterError):
-            ReactionParams(r=1.0, alpha=0.4, K=-1.0)
-        with pytest.raises(ParameterError):
-            ReactionParams(r=1.0, alpha=0.4, s0=1.5)
 
 
 class TestPercapitaDefectIdentity:
@@ -167,7 +163,7 @@ class TestAlphaMonotonicity:
 
 class TestVerifyHypothesisBounds:
     def test_default_family_passes(self):
-        params = ReactionParams(r=1.0, alpha=0.4, K=1.0, s0=1.0)
+        params = ReactionParams(r=1.0, alpha=0.4)
         report = verify_hypothesis_bounds(params, weakly_monostable(0.4),
                                           log_sample_grid(10_000))
         assert report.passed
@@ -182,6 +178,14 @@ class TestVerifyHypothesisBounds:
         # worst excess sits at the largest sample, where |ln s| ~ 0
         assert report.upper_violation.s == pytest.approx(1.0 - 1e-12, rel=1e-6)
         assert report.upper_violation.f_value > report.upper_violation.bound
+
+    def test_half_rate_fails_lower_bound(self):
+        params = ReactionParams(r=1.0, alpha=0.4)
+        family = weakly_monostable(0.4)
+        report = verify_hypothesis_bounds(params, lambda s: 0.5 * family(s),
+                                          log_sample_grid(10_000))
+        assert report.upper_ok and not report.lower_ok
+        assert report.lower_violation.f_value < report.lower_violation.bound
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
