@@ -26,6 +26,9 @@ from .reporting import CHUNK_ROWS, float_reprs, write_rows
 
 # candidate offsets scanned when b is fitted
 OFFSET_GRID_SIZE = 51
+# offsets are scored in blocks of rows of at most this many cells, so the
+# fit's temporaries stay near 2 MB each however long the window
+OFFSET_BLOCK_CELLS = 1 << 18
 # a more complex model must beat a simpler one by this factor to be selected
 COMPLEXITY_MARGIN = 1.10
 
@@ -142,52 +145,62 @@ def _windowed(trace: LevelSetTrace, window):
 
 
 def _ols(u, y):
-    # least squares y = slope*u + intercept, plus rms residual and r^2
-    A = np.vstack([u, np.ones_like(u)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - (slope * u + intercept)
-    rms = float(np.sqrt(np.mean(resid ** 2)))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), rms, r2
+    """Least squares y = slope*u + intercept for every row of ``y``.
+
+    The closed form with u centred on its mean, for all rows in one pass.
+    Returns per-row arrays: slope, intercept, rms residual and r^2.
+    """
+    u_mean = u.mean()
+    du = u - u_mean
+    y_mean = y.mean(axis=1)
+    dy = y - y_mean[:, None]
+    slope = (dy @ du) / (du @ du)
+    intercept = y_mean - slope * u_mean
+    resid = y - (slope[:, None] * u + intercept[:, None])
+    ss_res = (resid ** 2).sum(axis=1)
+    ss_tot = (dy ** 2).sum(axis=1)
+    # r^2 is 1 for a constant row
+    r2 = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_res), where=ss_tot > 0)
+    return slope, intercept, np.sqrt(ss_res / u.size), r2
 
 
 def fit_linear(trace: LevelSetTrace, window=None) -> FitResult:
     """Ordinary least squares x = a*t + b on the window."""
     t, x, win = _windowed(trace, window)
-    a, b, rms, r2 = _ols(t, x)
+    a, b, rms, r2 = (float(v[0]) for v in _ols(t, x[None]))
     return FitResult("linear", {"a": a, "b": b}, win, rms, r2)
 
 
-def _offset_candidates(x, offset):
-    if offset is not None:
-        return [float(offset)]
-    # 51 candidates spanning [0, min x) keep x - b positive throughout
-    top = float(np.min(x))
-    if top <= 0:
-        raise OffsetError("window contains nonpositive positions; fix an offset")
-    return [float(b) for b in np.linspace(0.0, top, OFFSET_GRID_SIZE, endpoint=False)]
-
-
 def _fit_transformed(u, x, offset, model, win, extra):
-    best = None
-    for b in _offset_candidates(x, offset):
-        shifted = x - b
-        if np.any(shifted <= 0):
-            if offset is not None:
-                raise OffsetError(f"offset {b} makes x - b nonpositive in the window")
-            continue
-        slope, intercept, rms, r2 = _ols(u, np.log(shifted))
-        if best is None or rms < best[0]:
-            best = (rms, slope, intercept, b, r2)
-    if best is None:
-        raise OffsetError("no admissible offset found")
-    rms, slope, intercept, b, r2 = best
-    if model == "power":
-        coeffs = {"c": float(np.exp(intercept)), "p": slope, "b": b}
+    """Regress ln(x - b) on ``u`` for each candidate offset b and keep the
+    first with the smallest residual.
+
+    ``offset`` fixes b; None scores all ``OFFSET_GRID_SIZE`` candidates
+    spanning [0, min x), which keep x - b positive, as (rows, N) arrays of
+    at most ``OFFSET_BLOCK_CELLS`` cells: all 51 rows in one pass for
+    windows up to 5140 samples.
+    """
+    if offset is None:
+        top = float(np.min(x))
+        if top <= 0:
+            raise OffsetError("window contains nonpositive positions; fix an offset")
+        offsets = np.linspace(0.0, top, OFFSET_GRID_SIZE, endpoint=False)
     else:
-        coeffs = {"c": float(np.exp(intercept)), "slope": slope, "b": b, **extra}
-    return FitResult(model, coeffs, win, rms, r2)
+        offsets = np.array([float(offset)])
+        if np.any(x - offsets[0] <= 0):
+            raise OffsetError(f"offset {offsets[0]} makes x - b nonpositive in the window")
+    rows = max(1, OFFSET_BLOCK_CELLS // x.size)
+    blocks = [_ols(u, np.log(x - offsets[i:i + rows, None]))
+              for i in range(0, offsets.size, rows)]
+    slope, intercept, rms, r2 = (np.concatenate(parts) for parts in zip(*blocks))
+    k = int(np.argmin(rms))  # the first of equal minima
+    c = float(np.exp(intercept[k]))
+    b = float(offsets[k])
+    if model == "power":
+        coeffs = {"c": c, "p": float(slope[k]), "b": b}
+    else:
+        coeffs = {"c": c, "slope": float(slope[k]), "b": b, **extra}
+    return FitResult(model, coeffs, win, float(rms[k]), float(r2[k]))
 
 
 def fit_power(trace: LevelSetTrace, window=None, offset=None) -> FitResult:

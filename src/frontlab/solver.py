@@ -74,10 +74,19 @@ class SimulationConfig:
             raise ParameterError(f"t_end must be >= 0, got {self.t_end}")
         if any(not 0 < lam < 1 for lam in self.lambdas):
             raise ParameterError(f"levels must lie in (0, 1), got {self.lambdas}")
+        for i, lam in enumerate(self.lambdas):
+            if lam in self.lambdas[:i]:
+                raise ParameterError(f"level {lam} is given twice")
         if any(ts < 0 or ts > self.t_end + 1e-9 for ts in self.snapshot_times):
             raise ParameterError("snapshot times must lie in [0, t_end]")
         if tuple(sorted(self.snapshot_times)) != tuple(self.snapshot_times):
             raise ParameterError("snapshot times must be sorted")
+        # run records a snapshot at the step nearest each time
+        for earlier, ts in zip(self.snapshot_times, self.snapshot_times[1:]):
+            if round(earlier / self.dt) == round(ts / self.dt):
+                raise ParameterError(
+                    f"snapshot times {earlier} and {ts} round to the same step "
+                    f"at dt = {self.dt}")
         if self.growth_margin is not None and not 0 < self.growth_margin < 1:
             raise ParameterError(f"growth margin must be in (0, 1), got {self.growth_margin}")
         if self.floor < 0:
@@ -97,6 +106,10 @@ class SimState:
     _grid: np.ndarray | None = field(default=None, repr=False, compare=False)
     # (n, margin, first cell of the right-edge fraction margin)
     _margin_start: tuple | None = field(default=None, repr=False, compare=False)
+    # (values, their minimum) as imex_step stored them: the next step's
+    # reaction reuses the minimum while ``values`` is still that array, so a
+    # new state (the first step, a domain doubling) is checked again
+    _stored_min: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -193,28 +206,42 @@ def imex_step(state: SimState, config: SimulationConfig) -> float:
     Returns the smallest new value before clamping, NaN when any value is
     NaN.  The clamp count, clip and floor passes run only when that minimum
     or the maximum shows a value for them to change.
+
+    The state is stored with its minimum after the clip and the floor: 0.0
+    when they zeroed cells, else the minimum the step reduced.  The next
+    step passes it as ``eval_f(family, u, lo)``, which then skips its range
+    check; a state this step did not store (the first, or one a domain
+    doubling replaced) is checked.
     """
     u = state.values
     f_u = None
     if config.reaction is not None:
-        f_u = eval_f(config.reaction, u)
+        known = state._stored_min
+        lo_u = known[1] if known is not None and known[0] is u else None
+        f_u = eval_f(config.reaction, u, lo_u)
         np.multiply(f_u, config.dt, out=f_u)
     mu = config.dt / config.dx ** 2
     try:
         new = kernels.theta_step(u, f_u, mu, state.right_value)
     except ZeroDivisionError as exc:
         raise NumericalError("zero pivot in tridiagonal solve") from exc
-    lo, hi = np.minimum.reduce(new), np.maximum.reduce(new)
+    lo, hi = float(np.minimum.reduce(new)), float(np.maximum.reduce(new))
+    stored = lo
     if lo < 0.0 or hi > 1.0:
         if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
             state.clamp_events += int(np.count_nonzero(
                 (new < -CLAMP_TOL) | (new > 1.0 + CLAMP_TOL)))
         np.clip(new, 0.0, 1.0, out=new)
+        stored = min(max(lo, 0.0), 1.0)
     if lo < config.floor:
         new[new < config.floor] = 0.0
+        stored = 0.0
     state.values = new
+    # a NaN minimum stores nothing: the run stops, and a direct caller's
+    # next step checks the state again
+    state._stored_min = (new, stored) if stored == stored else None
     state.t += config.dt
-    return float(lo)
+    return lo
 
 
 def maybe_grow_domain(state: SimState, config: SimulationConfig) -> str:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from frontlab import presets
+from frontlab import presets, solver
 from frontlab.cli import main
 from frontlab.config import config_to_text, parse_config
 from frontlab.errors import ConfigError
@@ -267,6 +267,16 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL.replace("beta = 1.0", "beta = -1"))
         assert main(["simulate", str(path)]) == 2
+
+    def test_simulate_repeated_level_exit_two_before_stepping(self, tmp_path,
+                                                               monkeypatch, capsys):
+        steps = []
+        monkeypatch.setattr(solver, "imex_step", lambda *args: steps.append(args))
+        path = tmp_path / "twice.cfg"
+        path.write_text(MINIMAL + "\n[measurement]\nlambdas = 0.5, 0.5\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "level 0.5 is given twice" in capsys.readouterr().err
+        assert steps == []
 
     def test_deterministic_outputs(self, tmp_path):
         config_path = tmp_path / "tiny.cfg"

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frontlab import measurement
 from frontlab.envelope import Regime
 from frontlab.errors import (BelowLevelError, FrontExitedDomainError,
                              InputError, OffsetError, ParameterError)
-from frontlab.measurement import (LevelSetTrace, extract_level_position,
-                                  fit_exp_power, fit_linear, fit_power,
-                                  select_model, selection_residual)
+from frontlab.measurement import (OFFSET_GRID_SIZE, LevelSetTrace,
+                                  extract_level_position, fit_exp_power,
+                                  fit_linear, fit_power, select_model,
+                                  selection_residual)
+from frontlab.presets import PRESETS
+from frontlab.solver import run
 
 
 class TestExtractLevelPosition:
@@ -246,3 +250,164 @@ class TestSelectModel:
         trace = LevelSetTrace(0.5, np.linspace(1.0, 2.0, 5), np.linspace(1.0, 2.0, 5))
         with pytest.raises(AnalysisError):
             select_model(trace, 0.4, 1.0)  # too short for any model
+
+
+class LoopOracle:
+    """The former fits: one ``np.linalg.lstsq`` per candidate offset, in a
+    loop that keeps the first smallest residual."""
+
+    @staticmethod
+    def ols(u, y):
+        A = np.vstack([u, np.ones_like(u)]).T
+        (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+        resid = y - (slope * u + intercept)
+        rms = float(np.sqrt(np.mean(resid ** 2)))
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
+        return float(slope), float(intercept), rms, r2
+
+    @classmethod
+    def transformed(cls, u, x, offset, model, win, extra):
+        if offset is not None:
+            candidates = [float(offset)]
+        else:
+            top = float(np.min(x))
+            if top <= 0:
+                raise OffsetError("window contains nonpositive positions")
+            candidates = [float(b) for b in
+                          np.linspace(0.0, top, OFFSET_GRID_SIZE, endpoint=False)]
+        best = None
+        for b in candidates:
+            shifted = x - b
+            if np.any(shifted <= 0):
+                if offset is not None:
+                    raise OffsetError(f"offset {b} makes x - b nonpositive")
+                continue
+            slope, intercept, rms, r2 = cls.ols(u, np.log(shifted))
+            if best is None or rms < best[0]:
+                best = (rms, slope, intercept, b, r2)
+        if best is None:
+            raise OffsetError("no admissible offset found")
+        rms, slope, intercept, b, r2 = best
+        key = "p" if model == "power" else "slope"
+        coeffs = {"c": float(np.exp(intercept)), key: slope, "b": b, **extra}
+        return measurement.FitResult(model, coeffs, win, rms, r2)
+
+    @staticmethod
+    def windowed(trace, window):
+        t0, t1 = trace.default_window() if window is None else window
+        cut = trace.window(t0, t1)
+        if cut.times.size < 10:
+            raise InputError("need >= 10 samples in window")
+        return cut.times, cut.positions, (float(t0), float(t1))
+
+    @classmethod
+    def fit_linear(cls, trace, window=None):
+        t, x, win = cls.windowed(trace, window)
+        a, b, rms, r2 = cls.ols(t, x)
+        return measurement.FitResult("linear", {"a": a, "b": b}, win, rms, r2)
+
+    @classmethod
+    def fit_power(cls, trace, window=None, offset=None):
+        t, x, win = cls.windowed(trace, window)
+        return cls.transformed(np.log(t), x, offset, "power", win, {})
+
+    @classmethod
+    def fit_exp_power(cls, trace, alpha, r, window=None, offset=None):
+        t, x, win = cls.windowed(trace, window)
+        s = (r * (alpha + 1.0) * t) ** (1.0 / (alpha + 1.0))
+        return cls.transformed(s, x, offset, "exp_power", win, {"alpha": alpha, "r": r})
+
+
+ORACLE_PANELS = ["fig3a"] + [f"fig{fig}{panel}" for fig in (6, 7, 8) for panel in "abc"]
+
+
+@pytest.fixture(scope="module")
+def panel_traces():
+    return {name: run(PRESETS[name].config).traces[0.5] for name in ORACLE_PANELS}
+
+
+def assert_same_fit(got, want):
+    assert (got.model, got.window, sorted(got.coeffs)) == \
+        (want.model, want.window, sorted(want.coeffs))
+    if got.model != "linear":
+        assert got.coeffs["b"] == want.coeffs["b"]  # the same candidate offset
+    for key, value in want.coeffs.items():
+        assert got.coeffs[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert got.residual == pytest.approx(want.residual, rel=1e-12, abs=0.0)
+    assert got.r_squared == pytest.approx(want.r_squared, rel=1e-12, abs=0.0)
+
+
+def fits_both_ways(trace, alpha, r, monkeypatch):
+    """Every fit and the selection, from the array scan and from the loop."""
+    results = []
+    for fits in (measurement, LoopOracle):
+        for name in ("fit_linear", "fit_power", "fit_exp_power"):
+            monkeypatch.setattr(measurement, name, getattr(fits, name))
+        out = {}
+        for model, call in (("linear", lambda: measurement.fit_linear(trace)),
+                            ("power", lambda: measurement.fit_power(trace)),
+                            ("exp_power", lambda: measurement.fit_exp_power(trace, alpha, r))):
+            try:
+                out[model] = call()
+            except OffsetError as exc:
+                out[model] = type(exc)
+        out["selected"] = select_model(trace, alpha, r)
+        results.append(out)
+        monkeypatch.undo()
+    return results
+
+
+class TestOffsetScanMatchesLoop:
+    @pytest.mark.parametrize("name", ORACLE_PANELS)
+    def test_preset_traces(self, panel_traces, name, monkeypatch):
+        params = PRESETS[name].config.reaction.params
+        got, want = fits_both_ways(panel_traces[name], params.alpha, params.r, monkeypatch)
+        for model in ("linear", "power", "exp_power"):
+            assert_same_fit(got[model], want[model])
+        (fit, regime), (want_fit, want_regime) = got["selected"], want["selected"]
+        assert regime is want_regime
+        assert_same_fit(fit, want_fit)
+
+    def test_window_with_nonpositive_positions(self, monkeypatch):
+        # x crosses zero inside the default window [2.75, 5]; the ripple
+        # keeps the residual above rounding noise
+        trace = synthetic(lambda t: 2.0 * t - 8.0 + 0.01 * np.sin(7.0 * t),
+                          t_max=5.0, n=200)
+        got, want = fits_both_ways(trace, 0.4, 1.0, monkeypatch)
+        assert got["power"] is want["power"] is OffsetError
+        assert got["exp_power"] is want["exp_power"] is OffsetError
+        assert_same_fit(got["linear"], want["linear"])
+        assert got["selected"][1] is want["selected"][1] is Regime.FINITE_SPEED
+        assert_same_fit(got["selected"][0], want["selected"][0])
+
+    @pytest.mark.parametrize("offset", [0.0, 1.5, 20.0])
+    def test_fixed_offset(self, offset):
+        trace = synthetic(lambda t: 0.0013 * t ** (1.0 / 0.28) + 40.0)
+        assert_same_fit(fit_power(trace, offset=offset),
+                        LoopOracle.fit_power(trace, offset=offset))
+        assert_same_fit(fit_exp_power(trace, 0.4, 1.0, offset=offset),
+                        LoopOracle.fit_exp_power(trace, 0.4, 1.0, offset=offset))
+        with pytest.raises(OffsetError):
+            fit_power(trace, offset=trace.positions.max())
+
+    @pytest.mark.parametrize("rows", [1, 7, 50])
+    def test_offsets_scored_in_blocks(self, panel_traces, rows, monkeypatch):
+        # blocks of 1, 7 (a short last block) and 50 rows give the loop's fit
+        trace = panel_traces["fig6a"]
+        params = PRESETS["fig6a"].config.reaction.params
+        samples = trace.window(*trace.default_window()).times.size
+        monkeypatch.setattr(measurement, "OFFSET_BLOCK_CELLS", rows * samples)
+        assert_same_fit(fit_power(trace), LoopOracle.fit_power(trace))
+        assert_same_fit(fit_exp_power(trace, params.alpha, params.r),
+                        LoopOracle.fit_exp_power(trace, params.alpha, params.r))
+
+    def test_long_window_in_blocks(self):
+        # 6000 samples in the default window: blocks of 43 and 8 offsets; the
+        # power fit picks offset 46, in the second
+        trace = synthetic(lambda t: 0.0013 * t ** (1.0 / 0.28) + 200.0
+                          + 1e-3 * np.sin(t), n=12000)
+        assert measurement.OFFSET_BLOCK_CELLS // 6000 == 43
+        assert_same_fit(fit_power(trace), LoopOracle.fit_power(trace))
+        assert_same_fit(fit_exp_power(trace, 0.4, 1.0),
+                        LoopOracle.fit_exp_power(trace, 0.4, 1.0))

@@ -103,6 +103,29 @@ class TestEvalF:
         assert eval_f(family, s).tobytes() == masked_rate(family, s).tobytes()
         assert eval_f(family, values[0]) == masked_rate(family, s[:1])[0]
 
+    @pytest.mark.parametrize("make", FAMILIES)
+    @pytest.mark.parametrize("low", [0.0, 5e-324, 1e-310, UNDERFLOW_CUTOFF,
+                                     np.nextafter(UNDERFLOW_CUTOFF, 1.0), 1e-250, 0.3])
+    def test_known_minimum_gives_the_same_bits(self, make, low):
+        # lo at or below the cutoff zeroes the cells there; above it none are
+        s = np.concatenate([np.linspace(1.0, 0.3, 2001), np.geomspace(0.3, 1e-250, 2001),
+                            np.geomspace(1e-299, 1e-300, 5), [low]])
+        s = s[s >= low]
+        family = make(0.4, r=1.3)
+        assert eval_f(family, s, low).tobytes() == eval_f(family, s).tobytes()
+
+    @given(values=st.lists(st.sampled_from(EDGE_VALUES)
+                           | st.floats(min_value=0.0, max_value=1.0),
+                           min_size=1, max_size=70),
+           make=st.sampled_from(FAMILIES),
+           alpha=st.floats(min_value=0.05, max_value=3.0))
+    @settings(max_examples=200)
+    def test_known_minimum_gives_the_same_bits_anywhere(self, values, make, alpha):
+        s = np.array(values)
+        family = make(alpha)
+        lo = float(s.min())
+        assert eval_f(family, s, lo).tobytes() == eval_f(family, s).tobytes()
+
     def test_params_validation(self):
         with pytest.raises(ParameterError):
             ReactionParams(r=0.0, alpha=0.4)

@@ -1,14 +1,15 @@
 """IMEX solver: domain sizing, stepping, growth, invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontlab import kernels, solver
-from frontlab.errors import InputError, ParameterError, SolverError
+from frontlab import kernels, reaction, solver
+from frontlab.errors import DomainError, InputError, ParameterError, SolverError
 from frontlab.initial_data import (algebraic, algebraic_raw, eval_u0,
                                    sub_exponential)
 from frontlab.reaction import eval_f, weakly_monostable
@@ -49,6 +50,19 @@ class TestConfigValidation:
             make_config(snapshot_times=(2.0, 1.0), t_end=3.0)
         with pytest.raises(ParameterError):
             make_config(snapshot_times=(5.0,), t_end=3.0)
+
+    def test_repeated_level_rejected(self):
+        # accepted before, it failed after the whole run, when its trace
+        # times were no longer strictly increasing
+        with pytest.raises(ParameterError, match="level 0.5 is given twice"):
+            make_config(lambdas=(0.5, 0.1, 0.5))
+
+    def test_snapshot_times_on_one_step_rejected(self):
+        # at dt = 0.1, 0.12 rounds to step 1 as 0.1 does: the state at
+        # t = 0.1 would be written twice, once labelled 0.12
+        with pytest.raises(ParameterError, match="0.1 and 0.12 round to the same step"):
+            make_config(snapshot_times=(0.1, 0.12, 0.3), dt=0.1)
+        make_config(snapshot_times=(0.1, 0.2, 0.3), dt=0.1)
 
 
 class TestAutoSizeDomain:
@@ -169,6 +183,74 @@ class TestFusedChecks:
         with pytest.raises(SolverError) as exc_info:
             run(cfg)
         assert exc_info.value.t == 7 * cfg.dt
+
+
+class TestStoredMinimum:
+    """imex_step stores the state's minimum; the next reaction reuses it."""
+
+    @staticmethod
+    def record_lo(monkeypatch):
+        # each eval_f call's lo, checked against the state it describes
+        seen = []
+        real = solver.eval_f
+
+        def eval_f(family, u, lo=None):
+            assert lo is None or lo == u.min()
+            seen.append(lo)
+            return real(family, u, lo)
+        monkeypatch.setattr(solver, "eval_f", eval_f)
+        return seen
+
+    @pytest.mark.parametrize("floor, zeroed", [(1e-200, True), (1e-250, False),
+                                               (0.0, False)])
+    def test_floor_runs_match_checked_reaction(self, monkeypatch, floor, zeroed):
+        # u0 on [-10, 115] falls to 1.9e-250 at the right edge: the 1e-200
+        # floor zeroes the tail, where carrying the minimum from before the
+        # floor would take log(0); the other two keep every cell above the
+        # underflow cutoff, so the log is taken without the clamp
+        cfg = make_config(x_right=115.0, t_end=3.0, floor=floor,
+                          lambdas=(0.1, 0.5), snapshot_times=(1.0, 3.0))
+        seen = self.record_lo(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run(cfg)
+        assert seen[0] is None and None not in seen[1:]
+        if zeroed:
+            assert seen[1] == 0.0
+        else:
+            assert min(seen[1:]) > reaction.UNDERFLOW_CUTOFF
+        monkeypatch.setattr(solver, "eval_f",
+                            lambda family, u, lo=None: reaction.eval_f(family, u))
+        want = run(cfg)
+        for lam in cfg.lambdas:
+            assert got.traces[lam].positions.tobytes() == want.traces[lam].positions.tobytes()
+        for a, b in zip(got.snapshots, want.snapshots, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_doubled_domain_is_checked_again(self, monkeypatch):
+        cfg = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
+                          x_right=3.0, growth_margin=0.4, t_end=0.5)
+        seen = self.record_lo(monkeypatch)
+        result = run(cfg)
+        assert result.diagnostics.growth_events > 0
+        assert seen.count(None) == 1 + result.diagnostics.growth_events
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1])
+    def test_out_of_range_initial_values_fail_first_step(self, bad):
+        cfg = make_config()
+        values = initialize_state(cfg).values
+        values[300] = bad
+        with pytest.raises(DomainError, match="outside"):
+            run(cfg, initial_values=values)
+
+    def test_replaced_values_are_checked(self):
+        cfg = make_config()
+        state = initialize_state(cfg)
+        imex_step(state, cfg)
+        state.values = state.values.copy()
+        state.values[10] = 1.5
+        with pytest.raises(DomainError):
+            imex_step(state, cfg)
 
 
 class TestHeatKernel:
