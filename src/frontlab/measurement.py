@@ -82,6 +82,8 @@ class LevelSetTrace:
 
     def default_window(self) -> tuple[float, float]:
         """Last half of the trace; transients are discarded."""
+        if self.times.size == 0:
+            raise InputError("an empty trace has no window")
         t0, t1 = float(self.times[0]), float(self.times[-1])
         return t0 + 0.5 * (t1 - t0), t1
 

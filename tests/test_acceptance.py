@@ -91,8 +91,11 @@ def test_criterion_3_finite_speed(finite_speed_run):
         (f"slope {slope:.4f} in [1.7, 2.1]; converged continuum value is "
          f"~1.374 (dx/dt refinement and an independent explicit RK2 oracle "
          f"agree to 3 digits; slope plateaus at 1.3736 by t=120) and the "
-         f"comparison principle caps any front of this reaction at "
-         f"2*sqrt(sup f(s)/s) = 1.494, below the published fit 1.9",
+         f"comparison principle caps fronts from these data, which decay like "
+         f"exp(-5x), faster than exp(-sqrt(sup f(s)/s) x), at "
+         f"2*sqrt(sup f(s)/s) = 1.494, below the published fit 1.9 (slower "
+         f"tails are not capped: at beta = 1/(alpha+1) fronts run at 3.67 for "
+         f"mu = 0.5 and 5.95 for mu = 0.35)",
          1.7 <= slope <= 2.1),
         (f"window slopes {early:.4f}/{late:.4f} differ {stability:.2%} < 5%",
          stability < 0.05),

@@ -198,7 +198,7 @@ class TestCli:
         assert (out_dir / "fits.txt").exists()
 
     def test_simulate_static_arrest_exit_three(self, tmp_path, capsys):
-        # the front reaches the right 10% of a static [-2, 3] before t = 2
+        # a static [-2, 3] is too narrow for the front before t = 2
         config_path = tmp_path / "static.cfg"
         config_path.write_text(MINIMAL.replace(
             "dx = 0.05", "dx = 0.05\nx_left = -2.0\nx_right = 3.0\ngrowth = static")
@@ -208,6 +208,19 @@ class TestCli:
         assert code == 3
         assert "TRUNCATED" in capsys.readouterr().out
         assert (out_dir / "snapshots.csv").exists()
+
+    def test_simulate_truncated_at_start_exit_three(self, tmp_path, capsys):
+        # the data's front already lies in the right 10% of a static
+        # [-2, 0.05]: nothing is recorded, and the empty trace is not fitted
+        config_path = tmp_path / "start.cfg"
+        config_path.write_text(MINIMAL.replace(
+            "dx = 0.05", "dx = 0.05\nx_left = -2.0\nx_right = 0.05\ngrowth = static"))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", str(config_path), "--out", str(out_dir)]) == 3
+        out = capsys.readouterr().out
+        assert "lambda=0.5: fit skipped" in out
+        assert "0 steps" in out and "TRUNCATED" in out
+        assert (out_dir / "trace_lambda_0.5.csv").read_text() == "t,x_lambda\n"
 
     def test_preset_truncated_panel_exit_three(self, tmp_path, capsys, monkeypatch):
         # a figure whose one panel is a static [-2, 3], too narrow for its
@@ -267,6 +280,16 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL.replace("beta = 1.0", "beta = -1"))
         assert main(["simulate", str(path)]) == 2
+
+    def test_simulate_off_grid_t_end_exit_two_before_stepping(self, tmp_path,
+                                                               monkeypatch, capsys):
+        steps = []
+        monkeypatch.setattr(solver, "imex_step", lambda *args: steps.append(args))
+        path = tmp_path / "off_grid.cfg"
+        path.write_text(MINIMAL.replace("t_end = 8.0", "t_end = 8.005"))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "time 8.005 is not a whole number of steps of dt = 0.01" in capsys.readouterr().err
+        assert steps == []
 
     def test_simulate_repeated_level_exit_two_before_stepping(self, tmp_path,
                                                                monkeypatch, capsys):

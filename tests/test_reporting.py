@@ -83,16 +83,17 @@ class TestSnapshotsCsv:
         assert_same_bytes(tmp_path, snapshots)
 
     def test_run_with_domain_growth(self, tmp_path):
-        # the algebraic front doubles the 701-cell domain [-2, 5] before t = 3
+        # the algebraic front enters the right 10% of the 1001-cell domain
+        # [-7, 3] before t = 6; the run restarts on 2001 cells, so every
+        # snapshot shares the one wider grid
         config = SimulationConfig(
             reaction=weakly_monostable(alpha=0.4), data=algebraic(beta=1.0, scale=100.0),
-            dx=0.01, dt=0.01, t_end=3.0, x_left=-2.0, x_right=5.0,
-            snapshot_times=(0.0, 0.75, 1.5, 2.25, 3.0))
+            dx=0.01, dt=0.01, t_end=6.0, x_left=-7.0, x_right=3.0,
+            snapshot_times=(0.0, 1.5, 3.0, 4.5, 6.0))
         result = run(config)
-        sizes = [snap.grid.size for snap in result.snapshots]
         assert result.diagnostics.growth_events == 1
-        assert sizes[0] == 701 and sizes[-1] == 1401 > CHUNK_ROWS
-        assert len({id(snap.grid) for snap in result.snapshots}) == 2
+        assert {snap.grid.size for snap in result.snapshots} == {2001} and 2001 > CHUNK_ROWS
+        assert len({id(snap.grid) for snap in result.snapshots}) == 1
         assert_same_bytes(tmp_path, result.snapshots)
 
     def test_shared_grid_formatted_without_a_str_per_value(self, tmp_path):

@@ -1,17 +1,18 @@
-"""IMEX solver: domain sizing, stepping, growth, invariants."""
+"""IMEX solver: domain sizing, stepping, restarts on a wider domain, invariants."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frontlab import kernels, reaction, solver
 from frontlab.errors import DomainError, InputError, ParameterError, SolverError
-from frontlab.initial_data import (algebraic, algebraic_raw, eval_u0,
-                                   sub_exponential)
+from frontlab.initial_data import algebraic, algebraic_raw, eval_u0, sub_exponential
+from frontlab.measurement import extract_level_position
 from frontlab.reaction import eval_f, weakly_monostable
 from frontlab.solver import (CLAMP_TOL, SimState, SimulationConfig,
                              auto_size_domain, imex_step, initialize_state,
@@ -58,11 +59,31 @@ class TestConfigValidation:
             make_config(lambdas=(0.5, 0.1, 0.5))
 
     def test_snapshot_times_on_one_step_rejected(self):
-        # at dt = 0.1, 0.12 rounds to step 1 as 0.1 does: the state at
-        # t = 0.1 would be written twice, once labelled 0.12
-        with pytest.raises(ParameterError, match="0.1 and 0.12 round to the same step"):
+        # at dt = 0.1, 0.12 would round to step 1 as 0.1 does: the state at
+        # t = 0.1 would be written twice, once labelled 0.12.  Off the step
+        # grid, 0.12 is rejected by name; a repeated time is one step twice
+        with pytest.raises(ParameterError,
+                           match="time 0.12 is not a whole number of steps of dt = 0.1"):
             make_config(snapshot_times=(0.1, 0.12, 0.3), dt=0.1)
+        with pytest.raises(ParameterError, match="increasing"):
+            make_config(snapshot_times=(0.1, 0.1, 0.3), dt=0.1)
         make_config(snapshot_times=(0.1, 0.2, 0.3), dt=0.1)
+
+    def test_t_end_off_the_step_grid_rejected(self):
+        # 2.5 steps: the run would stop at t = 0.2 (round(2.5) is 2) and
+        # label its horizon 0.25
+        with pytest.raises(ParameterError,
+                           match="time 0.25 is not a whole number of steps of dt = 0.1"):
+            make_config(dt=0.1, t_end=0.25)
+
+    def test_step_grid_tolerance(self):
+        # 30/0.01 and 0.3/0.1 are a few ulps off a whole number in floating
+        # point; STEP_TOL accepts them, and 1e-6 past t = 30 (3.3e-8 of its
+        # 3000 steps) is rejected
+        make_config(dt=0.01, t_end=30.0, snapshot_times=(0.07, 2.5, 30.0))
+        make_config(dt=0.1, t_end=0.3, snapshot_times=(0.3,))
+        with pytest.raises(ParameterError, match="not a whole number"):
+            make_config(dt=0.01, t_end=30.0 + 1e-6)
 
 
 class TestAutoSizeDomain:
@@ -70,18 +91,21 @@ class TestAutoSizeDomain:
         xl, xr = auto_size_domain(make_config(x_left=-3.0, x_right=17.0))
         assert (xl, xr) == (-3.0, 17.0)
 
-    def test_finite_speed_uses_speed_bound(self):
-        cfg = make_config(x_left=None, x_right=None, t_end=30.0)
-        xl, xr = auto_size_domain(cfg)
-        assert xl == -10.0  # clamp point 0 minus 10
-        assert xr >= 4.0 * math.sqrt(1.0) * 30.0
+    @pytest.mark.parametrize("data", [
+        sub_exponential(mu=5.0, beta=1.0), sub_exponential(mu=5.0, beta=0.2),
+        algebraic_raw(beta=1.0), algebraic(beta=1.0, scale=100.0)],
+        ids=["finite_speed", "power", "algebraic_raw", "algebraic"])
+    def test_default_start_for_every_regime(self, data):
+        # the same start whatever the regime or horizon: the run restarts
+        # on a wider domain when its front needs one
+        for t_end in (1.0, 30.0):
+            cfg = make_config(data=data, x_left=None, x_right=None, t_end=t_end)
+            clamp = data.clamp_point
+            assert auto_size_domain(cfg) == (clamp - 10.0, clamp + 20.0)
 
-    def test_accelerating_uses_envelope(self):
-        cfg = make_config(data=algebraic_raw(beta=1.0), x_left=None,
-                          x_right=None, t_end=8.0)
-        _, xr = auto_size_domain(cfg)
-        # at least twice the fast-side envelope, which exceeds e**((1.4*8)**(1/1.4))
-        assert xr >= 2.0 * math.exp((1.4 * 8.0) ** (1.0 / 1.4))
+    def test_explicit_bounds_must_be_ordered(self):
+        with pytest.raises(ParameterError, match="x_right must exceed x_left"):
+            auto_size_domain(make_config(x_left=25.0, x_right=None))
 
     def test_left_bound_clears_clamp_point(self):
         cfg = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=None,
@@ -95,7 +119,6 @@ class TestImexStep:
         cfg = make_config()
         state = initialize_state(cfg)
         state.values = np.zeros_like(state.values)
-        state.right_value = 0.0
         imex_step(state, cfg)
         assert np.array_equal(state.values, np.zeros(state.n))
 
@@ -103,7 +126,6 @@ class TestImexStep:
         cfg = make_config()
         state = initialize_state(cfg)
         state.values = np.ones_like(state.values)
-        state.right_value = 1.0
         imex_step(state, cfg)
         assert np.allclose(state.values, 1.0, atol=1e-13)
         assert state.clamp_events == 0
@@ -120,14 +142,15 @@ class TestFusedChecks:
 
     @staticmethod
     def separate_passes(state, config):
-        # returns (values, clamp events, minimum before clamping)
+        # returns (values, clamp events, minimum before clamping); the
+        # pinned last cell takes its own reaction increment
         u = state.values
         if config.reaction is not None:
             f_u = config.dt * eval_f(config.reaction, u)
         else:
             f_u = np.zeros_like(u)
         new = kernels.theta_step(u, f_u, config.dt / config.dx ** 2,
-                                 state.right_value)
+                                 float(u[-1] + f_u[-1]))
         lo = new.min()
         events = int(np.count_nonzero((new < -CLAMP_TOL) | (new > 1.0 + CLAMP_TOL)))
         np.clip(new, 0.0, 1.0, out=new)
@@ -152,7 +175,6 @@ class TestFusedChecks:
         state = initialize_state(cfg)
         if values is not None:
             state.values = values.copy()
-            state.right_value = float(values[-1])
         want, events, lo = self.separate_passes(state, cfg)
         assert imex_step(state, cfg) == lo
         assert state.values.tobytes() == want.tobytes()
@@ -162,7 +184,6 @@ class TestFusedChecks:
         cfg = make_config(reaction=None)
         state = initialize_state(cfg)
         state.values = np.linspace(1.2, -0.1, state.n)
-        state.right_value = -0.1
         imex_step(state, cfg)
         assert state.clamp_events > 100
         assert state.values.min() == 0.0 and state.values.max() == 1.0
@@ -228,8 +249,10 @@ class TestStoredMinimum:
             assert a.values.tobytes() == b.values.tobytes()
 
     def test_doubled_domain_is_checked_again(self, monkeypatch):
+        # the front enters the right 40% of [-2, 3] before t = 2: the run
+        # restarts on [-2, 8], whose first step checks its state again
         cfg = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
-                          x_right=3.0, growth_margin=0.4, t_end=0.5)
+                          x_right=3.0, growth_margin=0.4, t_end=2.0)
         seen = self.record_lo(monkeypatch)
         result = run(cfg)
         assert result.diagnostics.growth_events > 0
@@ -310,32 +333,34 @@ class TestDomainGrowth:
                           x_right=30.0, growth_margin=0.1)
         state = initialize_state(cfg)
         before = state.values.copy()
-        assert maybe_grow_domain(state, cfg) == "ok"
+        front = extract_level_position(state.grid, state.values, 0.5)
+        assert maybe_grow_domain(state, cfg, front) == "ok"
         assert np.array_equal(state.values, before)
 
     def test_growth_doubles_and_fills_with_data(self):
+        # the front enters the right 40% of [-2, 3] before t = 2: the run
+        # starts again from the initial data on [-2, 8], same spacing
         cfg = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
-                          x_right=3.0, growth_margin=0.4)
-        state = initialize_state(cfg)
-        old = state.values.copy()
-        old_n, old_right = state.n, state.x_right
-        # rightmost point above min(lambda)/10 = 0.05 sits at x ~ 0.19; push it
-        # into the margin zone by raising the tail
-        state.values[state.values < 0.06] = 0.06
-        state.values[-1] = eval_u0(cfg.data, state.x_right)
-        assert maybe_grow_domain(state, cfg) == "grew"
-        assert state.n == 2 * old_n - 1
-        assert state.x_right == pytest.approx(2.0 * old_right - state.x_left)
-        new_grid = state.grid[old_n:]
-        assert np.array_equal(state.values[old_n:], eval_u0(cfg.data, new_grid))
-        assert state.right_value == eval_u0(cfg.data, state.x_right)
+                          x_right=3.0, growth_margin=0.4, t_end=2.0,
+                          snapshot_times=(0.0, 2.0))
+        result = run(cfg)
+        diag = result.diagnostics
+        assert diag.growth_events == 1 and not diag.truncated
+        assert diag.final_cells == 2 * 101 - 1
+        first, last = result.snapshots
+        assert first.grid is last.grid
+        assert first.grid[-1] == pytest.approx(8.0)
+        assert first.grid[1] - first.grid[0] == pytest.approx(0.05)
+        assert np.array_equal(first.values, eval_u0(cfg.data, first.grid))
+        assert result.traces[0.5].times[0] == 0.0
+        assert diag.n_steps == 200 == result.traces[0.5].times.size - 1
 
     def test_cell_cap_blocks_growth(self):
         cfg = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
                           x_right=3.0, growth_margin=0.4, cell_cap=120)
         state = initialize_state(cfg)
-        state.values[:] = np.maximum(state.values, 0.06)
-        assert maybe_grow_domain(state, cfg) == "capped"
+        assert maybe_grow_domain(state, cfg, 1.0) == "capped"
+        assert maybe_grow_domain(state, replace(cfg, cell_cap=201), 1.0) == "grew"
 
     def test_truncated_run_reports(self):
         cfg = make_config(data=algebraic(beta=0.5, scale=10.0), x_left=-2.0,
@@ -346,80 +371,114 @@ class TestDomainGrowth:
         assert result.diagnostics.truncation_time is not None
         assert result.diagnostics.truncation_time < 5.0
 
+    def test_initial_values_need_a_static_domain(self):
+        cfg = make_config(growth_margin=0.1)
+        values = initialize_state(cfg).values
+        with pytest.raises(InputError, match="static domain"):
+            run(cfg, initial_values=values)
+
 
 class TestGrowthDecision:
-    """The right-margin test against the former front-position comparison."""
-
-    @staticmethod
-    def front_in_margin(state, margin, thresh):
-        above = np.nonzero(state.values > thresh)[0]
-        if above.size == 0:
-            return False
-        x_front = state.x_left + above[-1] * state.dx
-        width = (state.n - 1) * state.dx
-        return not x_front < state.x_right - margin * width
-
-    @given(n=st.integers(min_value=3, max_value=400),
-           x_left=st.floats(min_value=-50.0, max_value=50.0),
-           dx=st.floats(min_value=1e-3, max_value=2.0),
-           margin=st.floats(min_value=0.01, max_value=0.99),
-           data=st.data())
-    @settings(max_examples=300)
-    def test_matches_front_position(self, n, x_left, dx, margin, data):
-        cfg = make_config(growth_margin=margin, cell_cap=10 ** 6)
-        edge = x_left + (n - 1) * dx - margin * ((n - 1) * dx)
-        first = next(i for i in range(n) if x_left + i * dx >= edge)
-        # the rightmost cell above min(lambdas)/10 = 0.05 sits near the edge
-        last = data.draw(st.integers(min_value=max(first - 2, -1),
-                                     max_value=min(first + 1, n - 1)))
-        values = np.zeros(n)
-        values[:last + 1] = data.draw(st.sampled_from([0.06, np.nextafter(0.05, 1.0)]))
-        state = SimState(t=0.0, x_left=x_left, dx=dx, values=values,
-                         right_value=0.0)
-        want = self.front_in_margin(state, margin, 0.05)
-        assert (maybe_grow_domain(state, cfg) == "grew") == want
+    """The front against the edge of the right-margin fraction."""
 
     @pytest.mark.parametrize("last, status", [(8, "ok"), (9, "grew")])
     def test_cell_exactly_at_margin_edge(self, last, status):
-        # x_right = 5, width 5, margin 0.1: the edge 4.5 is the grid point i = 9
+        # x_right = 5, width 5, margin 0.1: the edge 4.5 is the grid point
+        # i = 9; a front on it has entered the margin
         cfg = make_config(growth_margin=0.1)
-        values = np.zeros(11)
-        values[:last + 1] = 0.06
-        state = SimState(t=0.0, x_left=0.0, dx=0.5, values=values, right_value=0.0)
-        assert state.x_right - 0.1 * (10 * 0.5) == state.grid[9] == 4.5
-        assert maybe_grow_domain(state, cfg) == status
+        state = SimState(t=0.0, x_left=0.0, dx=0.5, values=np.zeros(11))
+        assert state.grid[-1] - 0.1 * (10 * 0.5) == state.grid[9] == 4.5
+        assert maybe_grow_domain(state, cfg, state.grid[last]) == status
+        assert maybe_grow_domain(state, cfg, np.nextafter(4.5, 0.0)) == "ok"
 
-    @pytest.mark.parametrize("margin_values, status", [
-        ([np.nan, 0.0], "ok"), ([np.nan, np.nan], "ok"),
-        ([np.nan, 0.06], "grew"), ([0.06, np.nan], "grew")])
-    def test_nan_in_margin(self, margin_values, status):
-        # cells 9 and 10 form the margin; NaN is never above the threshold
-        cfg = make_config(growth_margin=0.1)
-        values = np.zeros(11)
-        values[:4] = np.nan
-        values[9:] = margin_values
-        state = SimState(t=0.0, x_left=0.0, dx=0.5, values=values, right_value=0.0)
-        assert (values[9:] > 0.05).any() == (status == "grew")
-        assert maybe_grow_domain(state, cfg) == status
+    def test_a_step_that_lifts_the_last_cell_restarts(self, monkeypatch):
+        # a step that leaves the last cell at the level: the extraction would
+        # raise FrontExitedDomainError; the run restarts on twice the width
+        real = solver.imex_step
+        calls = []
 
-    def test_margin_recomputed_after_doubling(self):
-        # 11 cells on [0, 5] have the margin 9..10; 21 cells on [0, 10] have 18..20
-        cfg = make_config(growth_margin=0.1)
-        values = np.zeros(11)
-        values[9] = 0.06
-        state = SimState(t=0.0, x_left=0.0, dx=0.5, values=values, right_value=0.0)
-        assert maybe_grow_domain(state, cfg) == "grew"
-        assert state.n == 21
-        state.values = np.zeros(21)
-        state.values[:18] = 0.06
-        assert maybe_grow_domain(state, cfg) == "ok"
-        state.values[18] = 0.06
-        assert maybe_grow_domain(state, cfg) == "grew"
+        def imex_step(state, config):
+            lo = real(state, config)
+            calls.append(state.n)
+            if len(calls) == 3:
+                state.values[-1] = 0.5
+            return lo
+
+        monkeypatch.setattr(solver, "imex_step", imex_step)
+        cfg = make_config(growth_margin=0.1, t_end=0.1)
+        result = run(cfg)
+        assert result.diagnostics.growth_events == 1
+        assert calls[:3] == [801] * 3 and calls[3:] == [1601] * 10
+        calls.clear()
+        static = run(replace(cfg, growth_margin=None))
+        assert static.diagnostics.truncated
+        assert static.diagnostics.truncation_time == pytest.approx(2 * cfg.dt)
+        assert static.traces[0.5].times.size == 3
+
+
+class TestRestart:
+    """A restarted run is the static run on its final domain."""
+
+    @given(beta=st.sampled_from([0.5, 1.0, 2.0]),
+           algebraic_tail=st.booleans(),
+           width=st.floats(min_value=1.0, max_value=4.0),
+           margin=st.floats(min_value=0.1, max_value=0.6),
+           steps=st.integers(min_value=1, max_value=120),
+           lambdas=st.sampled_from([(0.5,), (0.1, 0.5), (0.5, 0.05)]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_static_run_on_final_domain(self, beta, algebraic_tail, width,
+                                               margin, steps, lambdas):
+        data = (algebraic(beta=beta, scale=100.0) if algebraic_tail
+                else sub_exponential(mu=2.0, beta=beta))
+        cfg = make_config(data=data, dx=0.1, dt=0.02, t_end=0.02 * steps,
+                          x_left=-2.0, x_right=-2.0 + width, growth_margin=margin,
+                          lambdas=lambdas, snapshot_times=(0.02 * steps,))
+        grown = run(cfg)
+        diag = grown.diagnostics
+        assume(diag.growth_events > 0)
+        assert not diag.truncated
+        # the static run watches the default margin 0.1 <= margin, so the
+        # front that stayed left of the grown run's edge stays left of its
+        # own, and both watch the same edge slope
+        static = run(replace(cfg, x_right=grown.snapshots[-1].grid[-1], growth_margin=None))
+        assert static.diagnostics.final_cells == diag.final_cells
+        assert not static.diagnostics.truncated and static.diagnostics.growth_events == 0
+        for lam in lambdas:
+            a, b = grown.traces[lam], static.traces[lam]
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.positions.tobytes() == b.positions.tobytes()
+        assert grown.snapshots[-1].values.tobytes() == static.snapshots[-1].values.tobytes()
+        assert grown.snapshots[-1].grid.tobytes() == static.snapshots[-1].grid.tobytes()
+
+
+class TestThresholdFront:
+    """At beta = 1/(alpha+1), with mu = 0.35, the front is driven by its
+    tail: a domain refilled with u0, or a boundary pinned at u0(x_right),
+    stalls it (x_0.5(30) = 129.86, -23.6%, with the former envelope sizing
+    and u0 fill).  Default sizing must give the static wide run's trace."""
+
+    def test_default_sizing_matches_static_wide(self):
+        cfg = SimulationConfig(
+            reaction=weakly_monostable(alpha=0.4),
+            data=sub_exponential(mu=0.35, beta=1.0 / 1.4),
+            dx=0.05, dt=0.01, t_end=30.0)
+        grown = run(cfg)
+        wide = run(replace(cfg, x_left=-10.0, x_right=600.0, growth_margin=None))
+        assert not grown.diagnostics.truncated and not wide.diagnostics.truncated
+        x, x_wide = grown.traces[0.5].positions, wide.traces[0.5].positions
+        rel = float(np.max(np.abs(x - x_wide) / np.abs(x_wide)))
+        # measured: 1.7e-15 relative (the restarts land on [-10, 230], and
+        # the front at 170 is far from both right boundaries); the bound
+        # 1e-12 leaves room for another numpy build's rounding
+        print(f"THRESHOLD x_0.5(30): default {x[-1]:.4f}, static [-10, 600] "
+              f"{x_wide[-1]:.4f}, worst relative gap {rel:.1e} over the trace")
+        assert x_wide[-1] == pytest.approx(169.95, abs=0.01)
+        assert rel <= 1e-12
 
 
 class TestStaticDomainArrest:
     def test_front_at_static_edge_truncates(self):
-        # the algebraic front reaches the right 10% of [-2, 3] well before t = 2
+        # a static [-2, 3] is too narrow for the algebraic front well before t = 2
         cfg = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
                           x_right=3.0, t_end=2.0)
         result = run(cfg)
@@ -429,18 +488,52 @@ class TestStaticDomainArrest:
         assert diag.n_steps == round(diag.truncation_time / cfg.dt)
         assert result.traces[0.5].times[-1] == diag.truncation_time
 
+    def test_stalled_front_truncates(self):
+        # exponentially decaying data: the pinned edge of [-2, 3] holds the
+        # front back, and without the edge slope rule it stalls near x = 1.93,
+        # short of the right 10%, to t = 12
+        cfg = make_config(x_left=-2.0, x_right=3.0, t_end=12.0)
+        result = run(cfg)
+        diag = result.diagnostics
+        assert diag.truncated
+        assert 0.0 < diag.truncation_time < 1.0
+        assert result.traces[0.5].positions[-1] < 2.5
+
+    def test_stalled_front_restarts(self):
+        # the same front with a margin of 0.02 (0.1 units of [-2, 3]): the
+        # edge slope restarts the run, which then matches a wide static run
+        cfg = make_config(x_left=-2.0, x_right=3.0, t_end=12.0, growth_margin=0.02)
+        grown = run(cfg)
+        assert grown.diagnostics.growth_events > 0 and not grown.diagnostics.truncated
+        wide = run(replace(cfg, x_right=60.0, growth_margin=None))
+        x, x_wide = grown.traces[0.5].positions, wide.traces[0.5].positions
+        rel = float(np.max(np.abs(x - x_wide) / np.abs(x_wide)))
+        # measured 4.7e-15: the final [-2, 38] keeps its edge clear of the
+        # front, as [-2, 60] does
+        assert rel <= 1e-12
+
+    @pytest.mark.parametrize("drop, status", [(0.0249, "ok"), (0.0251, "capped")])
+    def test_edge_slope_truncates_without_the_front(self, drop, status):
+        # the front at 0 is far from the margin of [0, 5]; the last cell
+        # lies ``drop`` below its neighbour, against EDGE_SLOPE * 0.5 * dx
+        cfg = make_config()
+        values = np.zeros(11)
+        values[-2] = drop * 0.5
+        state = SimState(t=0.0, x_left=0.0, dx=0.5, values=values)
+        assert solver.EDGE_SLOPE * 0.5 * 0.5 == pytest.approx(0.0125)
+        assert maybe_grow_domain(state, cfg, 0.0) == status
+        assert maybe_grow_domain(state, replace(cfg, growth_margin=0.1), 0.0) == {
+            "ok": "ok", "capped": "grew"}[status]
+
     def test_matches_growth_test_with_default_margin(self):
         static = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
                              x_right=3.0)
-        growing = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
-                              x_right=3.0, growth_margin=0.1)
-        for fill, status in ((0.0, "ok"), (0.06, "capped")):
-            state = initialize_state(static)
-            state.values[state.values < 0.06] = fill
-            assert maybe_grow_domain(state, static) == status
-            state = initialize_state(growing)
-            state.values[state.values < 0.06] = fill
-            assert maybe_grow_domain(state, growing) == {"ok": "ok", "capped": "grew"}[status]
+        growing = replace(static, growth_margin=0.1)
+        state = initialize_state(static)
+        for front, status in ((2.49, "ok"), (2.5, "capped"), (math.inf, "capped")):
+            assert maybe_grow_domain(state, static, front) == status
+            assert maybe_grow_domain(state, growing, front) == {
+                "ok": "ok", "capped": "grew"}[status]
 
     def test_far_front_runs_to_the_end(self):
         result = run(make_config(t_end=1.0))
@@ -468,15 +561,18 @@ class TestTracedCallSites:
             counting(solver, name)
         counting(kernels, "theta_step")
         cfg = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
-                          x_right=3.0, growth_margin=0.4, t_end=0.5)
+                          x_right=3.0, growth_margin=0.4, t_end=2.0)
         result = solver.run(cfg)
-        steps = result.diagnostics.n_steps
-        assert result.diagnostics.growth_events > 0
+        growths = result.diagnostics.growth_events
+        assert growths > 0
+        # every start from t = 0 checks its initial state and each step's
+        steps = counts["imex_step"]
+        assert steps > result.diagnostics.n_steps
         assert counts == {
             "imex_step": steps, "eval_f": steps, "theta_step": steps,
-            "maybe_grow_domain": steps,
-            "extract_level_position": result.traces[0.5].times.size,
-            "eval_u0": 1 + result.diagnostics.growth_events,
+            "maybe_grow_domain": steps + 1 + growths,
+            "extract_level_position": steps + 1 + growths,
+            "eval_u0": 1 + growths,
         }
 
 
@@ -504,22 +600,19 @@ class TestRun:
     def test_nan_aborts_with_time(self):
         cfg = make_config(t_end=1.0)
         n = int(round((cfg.x_right - cfg.x_left) / cfg.dx)) + 1
-        bad = eval_u0(cfg.data, cfg.x_left + cfg.dx * np.arange(n))
-        bad[5] = np.nan
-        with pytest.raises(SolverError) as exc_info:
-            run(cfg, initial_values=bad)
-        assert exc_info.value.t == pytest.approx(0.01)
+        # a NaN in the last cell is no front beyond the domain
+        for cell in (5, n - 1):
+            bad = eval_u0(cfg.data, cfg.x_left + cfg.dx * np.arange(n))
+            bad[cell] = np.nan
+            with pytest.raises(SolverError) as exc_info:
+                run(cfg, initial_values=bad)
+            assert exc_info.value.t == pytest.approx(0.01)
 
     def test_deterministic_repetition(self):
         cfg = make_config(t_end=1.0, snapshot_times=(1.0,))
         a, b = run(cfg), run(cfg)
         assert np.array_equal(a.traces[0.5].positions, b.traces[0.5].positions)
         assert np.array_equal(a.snapshots[-1].values, b.snapshots[-1].values)
-
-    def test_mass_monotone_with_reaction(self):
-        cfg = make_config(t_end=2.0, snapshot_times=(1.0, 2.0))
-        result = run(cfg)
-        assert result.diagnostics.mass_monotone
 
     def test_initial_values_shape_checked(self):
         cfg = make_config()
