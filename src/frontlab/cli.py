@@ -93,7 +93,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     family = Family(args.family.lower())
-    # the regime depends on the family and beta only; any valid mu and scale do
+    # the long-time regime depends on the family and beta only; any mu and scale do
     spec = InitialDataSpec(family, args.beta, mu=1.0, scale=1.0)
     cls = classify_regime(args.alpha, spec)
     print(f"family={family.value} alpha={args.alpha} beta={args.beta}")

@@ -36,7 +36,7 @@ from .solver import SimulationConfig
 _SECTIONS = {
     "reaction": {"family", "r", "alpha"},
     "initial_data": {"family", "beta", "mu", "scale"},
-    "grid": {"dx", "x_left", "x_right", "growth", "growth_margin", "cell_cap", "floor"},
+    "grid": {"dx", "x_left", "x_right", "growth", "growth_margin", "floor"},
     "time": {"dt", "t_end", "snapshot_times"},
     "measurement": {"lambdas"},
 }
@@ -141,7 +141,6 @@ def parse_config(text: str) -> SimulationConfig:
             x_right=_get(entries, "grid", "x_right", float),
             snapshot_times=_get(entries, "time", "snapshot_times", _float_list),
             lambdas=_get(entries, "measurement", "lambdas", _float_list),
-            cell_cap=_get(entries, "grid", "cell_cap", int),
             floor=_get(entries, "grid", "floor", float),
         )
         if growth == "static":
@@ -187,7 +186,6 @@ def config_to_text(config: SimulationConfig) -> str:
     else:
         lines.append("growth = double_when_near")
         lines.append(f"growth_margin = {config.growth_margin!r}")
-    lines.append(f"cell_cap = {config.cell_cap}")
     lines.append(f"floor = {config.floor!r}")
     lines += ["", "[time]", f"dt = {config.dt!r}", f"t_end = {config.t_end!r}"]
     if config.snapshot_times:

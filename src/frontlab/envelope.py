@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from ._scalar import scalar_or_array
-from .errors import CalibrationError, DomainError, EnvelopeDomainError, ParameterError
+from .errors import CalibrationError, DomainError, ParameterError
 from .initial_data import (Family, InitialDataSpec, eval_phi0, phi0_total,
                            position_at_phi)
 from .reaction import ReactionFamily, eval_f
@@ -61,7 +61,8 @@ def _bracket(profile: OdeProfile, t, phi):
 
 
 def _saturate(profile: OdeProfile, br):
-    """L = 1 - ln w and the envelope value w for bracket values ``br``."""
+    """L = 1 - ln w and the envelope value w for bracket values ``br``;
+    w = 1 wherever br < 1, left of the saturation edge."""
     L = np.maximum(br, 1.0) ** (1.0 / (profile.alpha + 1.0))
     return L, np.minimum(np.exp(1.0 - L), 1.0)
 
@@ -69,8 +70,8 @@ def _saturate(profile: OdeProfile, br):
 def ode_envelope(profile: OdeProfile, t: float, x):
     """Envelope value w(t, x) in (0, 1] for x right of the saturation edge.
 
-    Raises ``EnvelopeDomainError`` (carrying x0(t)) if any query point lies
-    left of the edge, where the formula would exceed 1.
+    Raises ``DomainError`` if any query point lies left of the edge, where
+    the formula would exceed 1.
     """
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
@@ -78,24 +79,28 @@ def ode_envelope(profile: OdeProfile, t: float, x):
     phi = phi0_total(profile.data, arr)
     br = _bracket(profile, t, phi)
     if arr.size and np.min(br) < 1.0 - _FP_SLACK:
-        raise EnvelopeDomainError(
-            f"envelope undefined left of the saturation edge at t={t}",
-            edge=plateau_edge(profile, t))
+        raise DomainError(f"envelope undefined left of the saturation edge at t={t}")
     _, w = _saturate(profile, br)
     return scalar_or_array(arr, w)
 
 
-def plateau_edge(profile: OdeProfile, t: float) -> float:
-    """Position x0(t) where the envelope saturates at 1; nondecreasing in t.
+def _edge(profile: OdeProfile, t: float, L0: float) -> float:
+    """Position where L = 1 - ln w of the envelope equals ``L0`` >= 1.
 
-    Computed in log space (the saturation density itself underflows long
-    before the position leaves double range).
+    Computed in log space (the density there underflows long before the
+    position leaves double range): the bracket L0**a1 = (1 + phi)**a1 -
+    rho*a1*t solved for phi = -ln(u0).
     """
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
     a1 = profile.alpha + 1.0
-    phi_target = (profile.rho * a1 * t + 1.0) ** (1.0 / a1) - 1.0
-    return float(position_at_phi(profile.data, phi_target))
+    phi = (L0 ** a1 + profile.rho * a1 * t) ** (1.0 / a1) - 1.0
+    return float(position_at_phi(profile.data, phi))
+
+
+def plateau_edge(profile: OdeProfile, t: float) -> float:
+    """Position x0(t) where the envelope saturates at 1; nondecreasing in t."""
+    return _edge(profile, t, 1.0)
 
 
 def envelope_derivatives(profile: OdeProfile, t: float, x):
@@ -112,9 +117,7 @@ def envelope_derivatives(profile: OdeProfile, t: float, x):
     phi, dphi, ddphi = eval_phi0(profile.data, arr)
     br = _bracket(profile, t, np.asarray(phi))
     if np.any(np.asarray(br) < 1.0 - _FP_SLACK):
-        raise EnvelopeDomainError(
-            f"derivatives undefined left of the saturation edge at t={t}",
-            edge=plateau_edge(profile, t))
+        raise DomainError(f"derivatives undefined left of the saturation edge at t={t}")
     al = profile.alpha
     a1 = al + 1.0
     L, w = _saturate(profile, br)
@@ -142,8 +145,7 @@ def supersolution(profile: OdeProfile, shift: float, t: float, x):
     phi = phi0_total(profile.data, arr)
     br = _bracket(profile, t + shift, phi)
     _, w = _saturate(profile, br)
-    out = np.where(br >= 1.0, w, 1.0)
-    return scalar_or_array(arr, out)
+    return scalar_or_array(arr, w)
 
 
 def calibrate_supersolution_shift(profile: OdeProfile, family: ReactionFamily,
@@ -155,13 +157,19 @@ def calibrate_supersolution_shift(profile: OdeProfile, family: ReactionFamily,
     """
     if not profile.rho > family.params.r:
         raise ParameterError("supersolution needs rho > r")
-    shift = 1.0
+    return _double_until(
+        lambda shift: _supersolution_ok(profile, family, t_grid, x_max, shift),
+        1.0, "supersolution shift")
+
+
+def _double_until(ok, value: float, what: str) -> float:
+    """The first of value, 2*value, 4*value, ... that ``ok`` accepts."""
     for _ in range(_MAX_DOUBLINGS + 1):
-        if _supersolution_ok(profile, family, t_grid, x_max, shift):
-            return shift
-        shift *= 2.0
+        if ok(value):
+            return value
+        value *= 2.0
     raise CalibrationError(
-        f"supersolution shift doubling did not validate within {_MAX_DOUBLINGS} steps")
+        f"{what} doubling did not validate within {_MAX_DOUBLINGS} steps")
 
 
 def _supersolution_ok(profile, family, t_grid, x_max, shift):
@@ -217,21 +225,14 @@ def subsolution(params: SubsolutionParams, profile: OdeProfile, t: float, x):
     arr = np.asarray(x, dtype=float)
     phi = phi0_total(profile.data, arr)
     br = _bracket(profile, t, phi)
-    w = np.where(br >= 1.0, _saturate(profile, br)[1], 1.0)
+    w = _saturate(profile, br)[1]
     out = np.where(w >= 1.0 / (2.0 * M), 1.0 / (4.0 * M), quadratic_cutoff(w, M))
     return scalar_or_array(arr, out)
 
 
 def cutoff_edge(params: SubsolutionParams, profile: OdeProfile, t: float) -> float:
     """Position x_M(t) where the barrier leaves its plateau (w = 1/(2M))."""
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
-    a1 = profile.alpha + 1.0
-    phi_target = ((1.0 + math.log(2.0 * params.M)) ** a1
-                  + profile.rho * a1 * t) ** (1.0 / a1) - 1.0
-    if phi_target <= 0.0:
-        return profile.data.clamp_point
-    return float(position_at_phi(profile.data, phi_target))
+    return _edge(profile, t, 1.0 + math.log(2.0 * params.M))
 
 
 def calibrate_subsolution(profile: OdeProfile, family: ReactionFamily,
@@ -242,13 +243,10 @@ def calibrate_subsolution(profile: OdeProfile, family: ReactionFamily,
         raise ParameterError("subsolution needs rho < r")
     if not profile.rho > 0.75 * r:
         raise ParameterError("subsolution needs rho > 3r/4")
-    params = SubsolutionParams(M=10.0)
-    for _ in range(_MAX_DOUBLINGS + 1):
-        if _subsolution_ok(params, profile, family, t_grid, x_max):
-            return params
-        params = SubsolutionParams(M=2.0 * params.M)
-    raise CalibrationError(
-        f"subsolution amplitude doubling did not validate within {_MAX_DOUBLINGS} steps")
+    M = _double_until(
+        lambda M: _subsolution_ok(SubsolutionParams(M), profile, family, t_grid, x_max),
+        10.0, "subsolution amplitude")
+    return SubsolutionParams(M)
 
 
 def _subsolution_ok(params, profile, family, t_grid, x_max):
@@ -322,7 +320,9 @@ def classify_regime(alpha: float, spec: InitialDataSpec) -> RegimeClassification
     Sub-exponential tails spread at finite speed iff beta >= 1/(alpha+1)
     (the boundary case included); lighter sub-exponential tails accelerate
     polynomially, algebraic tails exponentially in t**(1/(alpha+1)), and
-    logarithmic tails doubly so.  Scale factors (mu, scale) never matter.
+    logarithmic tails doubly so.  Scale factors (mu, scale) do not change
+    this long-time regime, but they decide when it shows: at mu = 5 no run
+    separates by t = 30, at mu = 0.5 the runs do (tests/test_separation.py).
     """
     if not alpha > 0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")

@@ -17,17 +17,6 @@ class ParameterError(FrontlabError, ValueError):
     """A model parameter violates its admissibility constraints."""
 
 
-class EnvelopeDomainError(DomainError):
-    """The growth-ODE envelope was evaluated left of its saturation edge.
-
-    Carries the edge position x0(t) so callers can clip their query range.
-    """
-
-    def __init__(self, message: str, edge: float | None = None):
-        super().__init__(message)
-        self.edge = edge
-
-
 class BelowLevelError(FrontlabError, ValueError):
     """No grid value reaches the requested level (the level set is empty)."""
 

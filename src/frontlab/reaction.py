@@ -139,21 +139,12 @@ def percapita_bound(params: ReactionParams, s: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BoundViolation:
-    s: float
-    f_value: float
-    bound: float
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
     """Outcome of the two-sided per-capita bound check."""
 
     upper_ok: bool
     lower_ok: bool
     n_checked: int
-    upper_violation: BoundViolation | None = None
-    lower_violation: BoundViolation | None = None
 
     @property
     def passed(self) -> bool:
@@ -166,9 +157,7 @@ def verify_hypothesis_bounds(params: ReactionParams,
     """Check ``f`` against the per-capita envelope on sample points in (0, 1).
 
     ``f`` maps the whole sample array to its rates in one call.  Both
-    bounds are tested at every grid point.  On failure the report carries
-    the worst witness (largest excess / deficit) with both sides of the
-    inequality.
+    bounds are tested at every grid point.
     """
     s = np.asarray(grid, dtype=float)
     if s.size == 0:
@@ -178,32 +167,11 @@ def verify_hypothesis_bounds(params: ReactionParams,
 
     fs = np.asarray(f(s), dtype=float)
 
-    upper = percapita_bound(params, s)
-    excess = fs - upper
-    upper_ok = bool(np.all(excess <= 0.0))
-    upper_witness = None
-    if not upper_ok:
-        i = int(np.argmax(excess))
-        upper_witness = BoundViolation(float(s[i]), float(fs[i]), float(upper[i]))
-
+    upper_ok = bool(np.all(fs - percapita_bound(params, s) <= 0.0))
     # same evaluation order as the canonical rate, which meets it exactly
     lower = params.r * s * (1.0 - s) / (1.0 - np.log(s)) ** params.alpha
-    deficit = lower - fs
-    lower_ok = bool(np.all(deficit <= 0.0))
-    lower_witness = None
-    if not lower_ok:
-        j = int(np.argmax(deficit))
-        lower_witness = BoundViolation(float(s[j]), float(fs[j]), float(lower[j]))
-
-    return HypothesisReport(upper_ok, lower_ok, int(s.size),
-                            upper_witness, lower_witness)
-
-
-def log_sample_grid(n: int = 10_000, lo: float = 1e-12, hi: float = 1.0 - 1e-12) -> np.ndarray:
-    """Log-spaced sample grid in (0, 1) used by the default bound checks."""
-    if n < 2:
-        raise InputError("need at least 2 grid points")
-    return np.geomspace(lo, hi, n)
+    lower_ok = bool(np.all(lower - fs <= 0.0))
+    return HypothesisReport(upper_ok, lower_ok, int(s.size))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ STEP_TOL = 1e-9
 # by this slope per unit length, relative to min(lambdas); narrow static runs
 # were then within 3e-4 relative of wide ones, and 1e-2 off a little later
 EDGE_SLOPE = 0.05
+# a run whose doubling would pass this many cells stops, truncated
+CELL_CAP = 4_000_000
 
 
 def _step_of(t: float, dt: float) -> int:
@@ -73,13 +75,18 @@ class SimulationConfig:
     snapshot_times: tuple[float, ...] = ()
     lambdas: tuple[float, ...] = (0.5,)
     growth_margin: float | None = 0.1
-    cell_cap: int = 4_000_000
     floor: float = 1e-300
 
     def __post_init__(self):
         # Python floats: a numpy level's repr, np.float64(0.1), would reach
         # the bundle's trace file names and fit labels
         object.__setattr__(self, "lambdas", tuple(map(float, self.lambdas)))
+        for name in ("dx", "dt", "t_end", "x_left", "x_right", "floor"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+        if not all(map(math.isfinite, self.snapshot_times)):
+            raise ParameterError(f"snapshot_times must be finite, got {self.snapshot_times}")
         if not self.dx > 0:
             raise ParameterError(f"dx must be > 0, got {self.dx}")
         if not self.dt > 0:
@@ -101,8 +108,6 @@ class SimulationConfig:
             raise ParameterError(f"growth margin must be in (0, 1), got {self.growth_margin}")
         if self.floor < 0:
             raise ParameterError(f"floor must be >= 0, got {self.floor}")
-        if self.cell_cap < 3:
-            raise ParameterError("cell cap must allow at least 3 cells")
 
 
 @dataclass
@@ -157,8 +162,8 @@ def initialize_state(config: SimulationConfig,
         n = int(round((x_right - x_left) / config.dx)) + 1
     if n < 3:
         raise InputError("domain shorter than 3 cells")
-    if n > config.cell_cap:
-        raise InputError(f"initial domain of {n} cells exceeds cell cap {config.cell_cap}")
+    if n > CELL_CAP:
+        raise InputError(f"initial domain of {n} cells exceeds cell cap {CELL_CAP}")
     grid = _make_grid(x_left, config.dx, n)
     if initial_values is not None:
         values = np.asarray(initial_values, dtype=np.float64).copy()
@@ -228,8 +233,8 @@ def maybe_grow_domain(state: SimState, config: SimulationConfig,
     its neighbour by a slope of ``EDGE_SLOPE * min(lambdas)``, as a front
     held back by the boundary may stall short of any margin.  Returns "ok",
     "grew" (the caller restarts from t = 0 on twice the width, same spacing)
-    or "capped" when the domain may not grow: it is static, or the cell cap
-    refuses the doubling (the caller stops and flags truncation).
+    or "capped" when the domain may not grow: it is static, or the doubling
+    would pass ``CELL_CAP`` (the caller stops and flags truncation).
     """
     static = config.growth_margin is None
     # a static domain watches the default margin, the class attribute
@@ -238,7 +243,7 @@ def maybe_grow_domain(state: SimState, config: SimulationConfig,
     pulled = u[-2] - u[-1] > EDGE_SLOPE * min(config.lambdas) * state.dx
     if front < state.x_left + width - margin * width and not pulled:
         return "ok"
-    if static or 2 * state.n - 1 > config.cell_cap:
+    if static or 2 * state.n - 1 > CELL_CAP:
         return "capped"
     return "grew"
 

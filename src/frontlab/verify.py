@@ -23,8 +23,7 @@ from .envelope import (OdeProfile, calibrate_subsolution,
                        subsolution, supersolution)
 from .errors import InputError
 from .initial_data import algebraic, sub_exponential
-from .reaction import (ReactionParams, log_sample_grid, weakly_monostable,
-                       verify_hypothesis_bounds)
+from .reaction import ReactionParams, weakly_monostable, verify_hypothesis_bounds
 from .solver import SimulationConfig, run
 
 SUBJECTS = ("hypothesis", "envelope", "sandwich", "convergence")
@@ -45,11 +44,11 @@ class Check:
                 f"vs bound {self.bound:.6g}{extra}")
 
 
-def verify_hypothesis(alphas=(0.2, 0.4, 0.6), n_grid: int = 10_000) -> list[Check]:
+def verify_hypothesis() -> list[Check]:
     """Per-capita bounds on a log grid in [1e-12, 1 - 1e-12], zero violations."""
-    grid = log_sample_grid(n_grid)
+    grid = np.geomspace(1e-12, 1.0 - 1e-12, 10_000)
     checks = []
-    for alpha in alphas:
+    for alpha in (0.2, 0.4, 0.6):
         params = ReactionParams(r=1.0, alpha=alpha)
         family = weakly_monostable(alpha=alpha)
         report = verify_hypothesis_bounds(params, family, grid)
@@ -67,12 +66,12 @@ def _envelope_profiles():
     ]
 
 
-def _tail_samples(profile, n_t=10, n_x=110):
+def _tail_samples(profile):
     """(t, x) tail points, x spread geometrically from just past the edge."""
     pts = []
-    for t in np.linspace(0.5, 10.0, n_t):
+    for t in np.linspace(0.5, 10.0, 10):
         lo = max(plateau_edge(profile, t + 1e-3), profile.data.clamp_point)
-        xs = np.geomspace(max(lo * 1.01, lo + 1e-6), max(200.0, lo * 50.0), n_x)
+        xs = np.geomspace(max(lo * 1.01, lo + 1e-6), max(200.0, lo * 50.0), 110)
         pts.append((float(t), xs))
     return pts
 
@@ -123,8 +122,9 @@ def sandwich_config() -> SimulationConfig:
     )
 
 
-def verify_sandwich(result=None, tol: float = 5e-2) -> list[Check]:
+def verify_sandwich(result=None) -> list[Check]:
     """Barrier ordering v - tol <= u <= m + tol and the rate bracket on x_1/2."""
+    tol = 5e-2
     config = sandwich_config()
     if result is None:
         result = run(config)
@@ -166,29 +166,26 @@ def verify_sandwich(result=None, tol: float = 5e-2) -> list[Check]:
     return checks
 
 
-def _heat_config(dx: float, dt: float, t_end: float) -> SimulationConfig:
-    return SimulationConfig(
+def _gaussian(x, t):
+    """The heat equation's solution from 0.8 * exp(-x**2 / 2)."""
+    s2 = 1.0 + 2.0 * t
+    return 0.8 * math.sqrt(1.0 / s2) * np.exp(-x ** 2 / (2.0 * s2))
+
+
+def heat_kernel_error(dx: float, dt: float) -> float:
+    """L-infinity error at t = 0.25 of a pure-diffusion run against the exact Gaussian."""
+    config = SimulationConfig(
         reaction=None,
         data=sub_exponential(mu=5.0, beta=1.0),  # placeholder; values overridden
         dx=dx,
         dt=dt,
-        t_end=t_end,
+        t_end=0.25,
         x_left=-20.0,
         x_right=20.0,
-        snapshot_times=(t_end,),
+        snapshot_times=(0.25,),
         growth_margin=None,
         floor=0.0,
     )
-
-
-def _gaussian(x, t, amp=0.8, sigma2=1.0):
-    s2 = sigma2 + 2.0 * t
-    return amp * math.sqrt(sigma2 / s2) * np.exp(-x ** 2 / (2.0 * s2))
-
-
-def heat_kernel_error(dx: float, dt: float, t_end: float = 0.25) -> float:
-    """L-infinity error of the pure-diffusion run against the exact Gaussian."""
-    config = _heat_config(dx, dt, t_end)
     grid = config.x_left + dx * np.arange(int(round((config.x_right - config.x_left) / dx)) + 1)
     result = run(config, initial_values=_gaussian(grid, 0.0))
     snap = result.snapshots[-1]

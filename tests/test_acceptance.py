@@ -62,7 +62,7 @@ def exp_power_run():
 
 def test_criterion_1_hypothesis_bounds():
     t0 = time.perf_counter()
-    checks = verify_hypothesis(alphas=(0.2, 0.4, 0.6), n_grid=10_000)
+    checks = verify_hypothesis()
     elapsed = time.perf_counter() - t0
     clauses = [(c.name, c.passed) for c in checks]
     clauses.append((f"runtime {elapsed:.3f}s < 1s", elapsed < 1.0))

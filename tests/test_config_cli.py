@@ -66,7 +66,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("section, key", [
         ("time", "theta"), ("measurement", "trace_stride"),
-        ("reaction", "k"), ("reaction", "s0")])
+        ("reaction", "k"), ("reaction", "s0"), ("grid", "cell_cap")])
     def test_removed_key_rejected(self, section, key, tmp_path, capsys):
         # a section may open twice, so the key can follow the whole document
         text = MINIMAL + f"\n[{section}]\n{key} = 1\n"
@@ -184,11 +184,12 @@ class TestCli:
         header = (out_dir / "snapshots.csv").read_text().splitlines()[0]
         assert header == "t,x,u"
 
-    def test_simulate_truncated_exit_three(self, tmp_path, capsys):
+    def test_simulate_truncated_exit_three(self, tmp_path, capsys, monkeypatch):
         # a 401-cell domain whose first doubling the cell cap refuses
+        monkeypatch.setattr(solver, "CELL_CAP", 500)
         config_path = tmp_path / "capped.cfg"
         config_path.write_text(MINIMAL.replace(
-            "dx = 0.05", "dx = 0.05\nx_left = -10.0\nx_right = 10.0\ncell_cap = 500"))
+            "dx = 0.05", "dx = 0.05\nx_left = -10.0\nx_right = 10.0"))
         out_dir = tmp_path / "out"
         code = main(["simulate", str(config_path), "--out", str(out_dir)])
         assert code == 3
@@ -272,6 +273,25 @@ class TestCli:
         assert main(["preset", "fig9", "--out", str(tmp_path)]) == 3
         out = capsys.readouterr().out
         assert "CLAMPED: " + ", ".join(f"fig9:{label}" for label in clamping) in out
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", "inf"), ("t_end", "nan"), ("x_right", "inf"), ("x_left", "-inf"),
+        ("snapshot_times", "inf"), ("dt", "inf"), ("dx", "inf"), ("floor", "nan"),
+        ("floor", "inf")])
+    def test_simulate_non_finite_value_exit_two(self, field, value, tmp_path,
+                                                monkeypatch, capsys):
+        # unchecked, an infinite time overflows the step count, dt = inf
+        # makes a run of 0 steps and floor = inf zeroes every density
+        steps = []
+        monkeypatch.setattr(solver, "imex_step", lambda *args: steps.append(args))
+        section = "time" if field in ("t_end", "dt", "snapshot_times") else "grid"
+        lines = [line for line in MINIMAL.splitlines() if line.split(" = ")[0] != field]
+        lines.insert(lines.index(f"[{section}]") + 1, f"{field} = {value}")
+        path = tmp_path / "non_finite.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert steps == []
 
     def test_simulate_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 2

@@ -3,7 +3,7 @@
 import dataclasses
 
 import frontlab
-from frontlab import config
+from frontlab import config, errors, reaction
 
 DELETED = ("TravelingBound", "min_wave_speed", "traveling_bound",
            "traveling_profile", "traveling_residual",
@@ -23,18 +23,24 @@ def test_deleted_names_not_exported():
         assert not hasattr(frontlab, name), name
 
 
+def test_deleted_module_names_gone():
+    for module, name in ((errors, "EnvelopeDomainError"), (reaction, "BoundViolation"),
+                         (reaction, "log_sample_grid")):
+        assert not hasattr(module, name), name
+
+
 # every settable value: a new field or config key has to be added here too
 SETTINGS = {
     frontlab.SimulationConfig: ("reaction", "data", "dx", "dt", "t_end", "x_left",
                                 "x_right", "snapshot_times", "lambdas",
-                                "growth_margin", "cell_cap", "floor"),
+                                "growth_margin", "floor"),
     frontlab.ReactionParams: ("r", "alpha"),
     frontlab.SubsolutionParams: ("M",),
 }
 CONFIG_KEYS = {
     "reaction": {"family", "r", "alpha"},
     "initial_data": {"family", "beta", "mu", "scale"},
-    "grid": {"dx", "x_left", "x_right", "growth", "growth_margin", "cell_cap", "floor"},
+    "grid": {"dx", "x_left", "x_right", "growth", "growth_margin", "floor"},
     "time": {"dt", "t_end", "snapshot_times"},
     "measurement": {"lambdas"},
 }

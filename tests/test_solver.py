@@ -355,17 +355,19 @@ class TestDomainGrowth:
         assert result.traces[0.5].times[0] == 0.0
         assert diag.n_steps == 200 == result.traces[0.5].times.size - 1
 
-    def test_cell_cap_blocks_growth(self):
+    def test_cell_cap_blocks_growth(self, monkeypatch):
         cfg = make_config(data=algebraic(beta=1.0, scale=100.0), x_left=-2.0,
-                          x_right=3.0, growth_margin=0.4, cell_cap=120)
+                          x_right=3.0, growth_margin=0.4)
         state = initialize_state(cfg)
+        monkeypatch.setattr(solver, "CELL_CAP", 120)
         assert maybe_grow_domain(state, cfg, 1.0) == "capped"
-        assert maybe_grow_domain(state, replace(cfg, cell_cap=201), 1.0) == "grew"
+        monkeypatch.setattr(solver, "CELL_CAP", 201)
+        assert maybe_grow_domain(state, cfg, 1.0) == "grew"
 
-    def test_truncated_run_reports(self):
+    def test_truncated_run_reports(self, monkeypatch):
+        monkeypatch.setattr(solver, "CELL_CAP", 100)
         cfg = make_config(data=algebraic(beta=0.5, scale=10.0), x_left=-2.0,
-                          x_right=2.0, growth_margin=0.3, cell_cap=100,
-                          t_end=5.0)
+                          x_right=2.0, growth_margin=0.3, t_end=5.0)
         result = run(cfg)
         assert result.diagnostics.truncated
         assert result.diagnostics.truncation_time is not None
