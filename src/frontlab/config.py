@@ -61,22 +61,18 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
             if section not in _SECTIONS:
-                raise ConfigError(f"unknown section [{section}] at line {lineno}",
-                                  line=lineno, key=section)
+                raise ConfigError(f"unknown section [{section}] at line {lineno}")
             continue
         if "=" not in line:
-            raise ConfigError(f"expected key = value at line {lineno}: {raw!r}",
-                              line=lineno)
+            raise ConfigError(f"expected key = value at line {lineno}: {raw!r}")
         if section is None:
-            raise ConfigError(f"key outside any section at line {lineno}", line=lineno)
+            raise ConfigError(f"key outside any section at line {lineno}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
         if key not in _SECTIONS[section]:
-            raise ConfigError(f"unknown key {key!r} in [{section}] at line {lineno}",
-                              line=lineno, key=key)
+            raise ConfigError(f"unknown key {key!r} in [{section}] at line {lineno}")
         if (section, key) in entries:
-            raise ConfigError(f"duplicate key {key!r} at line {lineno}",
-                              line=lineno, key=key)
+            raise ConfigError(f"duplicate key {key!r} at line {lineno}")
         entries[(section, key)] = (value, lineno)
     return entries
 
@@ -84,7 +80,7 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
 def _get(entries, section, key, convert, default=None):
     if (section, key) not in entries:
         if (section, key) in _REQUIRED:
-            raise ConfigError(f"missing required key {key!r} in [{section}]", key=key)
+            raise ConfigError(f"missing required key {key!r} in [{section}]")
         return default
     value, lineno = entries.pop((section, key))
     try:
@@ -92,8 +88,7 @@ def _get(entries, section, key, convert, default=None):
     except ConfigError:
         raise
     except Exception as exc:
-        raise ConfigError(f"bad value for {key!r} at line {lineno}: {exc}",
-                          line=lineno, key=key) from exc
+        raise ConfigError(f"bad value for {key!r} at line {lineno}: {exc}") from exc
 
 
 def _present(**fields):
@@ -130,8 +125,10 @@ def parse_config(text: str) -> SimulationConfig:
 
         growth = _get(entries, "grid", "growth", str, "double_when_near").lower()
         if growth not in ("static", "double_when_near"):
-            raise ConfigError(f"growth must be static or double_when_near, got {growth!r}",
-                              key="growth")
+            raise ConfigError(f"growth must be static or double_when_near, got {growth!r}")
+        if growth == "static" and ("grid", "growth_margin") in entries:
+            lineno = entries["grid", "growth_margin"][1]
+            raise ConfigError(f"growth_margin at line {lineno} conflicts with growth = static")
         fields = _present(
             growth_margin=_get(entries, "grid", "growth_margin", float),
             dx=_get(entries, "grid", "dx", float),
@@ -152,7 +149,7 @@ def parse_config(text: str) -> SimulationConfig:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     if entries:  # pragma: no cover - all keys are known per section by now
         (section, key), (_, lineno) = next(iter(entries.items()))
-        raise ConfigError(f"unused key {key!r} in [{section}]", line=lineno, key=key)
+        raise ConfigError(f"unused key {key!r} in [{section}] at line {lineno}")
     return config
 
 

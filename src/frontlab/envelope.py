@@ -26,7 +26,6 @@ from enum import Enum
 
 import numpy as np
 
-from ._scalar import scalar_or_array
 from .errors import CalibrationError, DomainError, ParameterError
 from .initial_data import (Family, InitialDataSpec, eval_phi0, phi0_total,
                            position_at_phi)
@@ -49,10 +48,10 @@ class OdeProfile:
     data: InitialDataSpec
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ParameterError(f"rho must be > 0, got {self.rho}")
-        if not self.alpha > 0:
-            raise ParameterError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.rho < math.inf:
+            raise ParameterError(f"rho must be finite and > 0, got {self.rho}")
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 def _bracket(profile: OdeProfile, t, phi):
@@ -71,17 +70,15 @@ def ode_envelope(profile: OdeProfile, t: float, x):
     """Envelope value w(t, x) in (0, 1] for x right of the saturation edge.
 
     Raises ``DomainError`` if any query point lies left of the edge, where
-    the formula would exceed 1.
+    the formula would exceed 1.  A scalar ``x`` gives a 0-d numpy value.
     """
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
-    arr = np.asarray(x, dtype=float)
-    phi = phi0_total(profile.data, arr)
+    phi = phi0_total(profile.data, x)
     br = _bracket(profile, t, phi)
-    if arr.size and np.min(br) < 1.0 - _FP_SLACK:
+    if np.any(br < 1.0 - _FP_SLACK):
         raise DomainError(f"envelope undefined left of the saturation edge at t={t}")
-    _, w = _saturate(profile, br)
-    return scalar_or_array(arr, w)
+    return _saturate(profile, br)[1]
 
 
 def _edge(profile: OdeProfile, t: float, L0: float) -> float:
@@ -104,7 +101,7 @@ def plateau_edge(profile: OdeProfile, t: float) -> float:
 
 
 def envelope_derivatives(profile: OdeProfile, t: float, x):
-    """Spatial derivatives (w_x, w_xx) of the envelope at strict-tail points.
+    """Spatial derivatives (w_x, w_xx) at strict-tail points, 0-d for a scalar x.
 
     With L = 1 - ln w and A = (1 + phi)**alpha:
 
@@ -113,10 +110,9 @@ def envelope_derivatives(profile: OdeProfile, t: float, x):
                  [ L**(-alpha) + alpha*L**(-alpha-1) - alpha*(1+phi)**(-alpha-1) ]
                  - phi'' * A }
     """
-    arr = np.asarray(x, dtype=float)
-    phi, dphi, ddphi = eval_phi0(profile.data, arr)
-    br = _bracket(profile, t, np.asarray(phi))
-    if np.any(np.asarray(br) < 1.0 - _FP_SLACK):
+    phi, dphi, ddphi = eval_phi0(profile.data, x)
+    br = _bracket(profile, t, phi)
+    if np.any(br < 1.0 - _FP_SLACK):
         raise DomainError(f"derivatives undefined left of the saturation edge at t={t}")
     al = profile.alpha
     a1 = al + 1.0
@@ -126,7 +122,7 @@ def envelope_derivatives(profile: OdeProfile, t: float, x):
     wx = -base * dphi * A
     inner = L ** (-al) + al * L ** (-a1) - al * (1.0 + phi) ** (-a1)
     wxx = base * (dphi ** 2 * A ** 2 * inner - ddphi * A)
-    return scalar_or_array(arr, wx, wxx)
+    return wx, wxx
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +134,13 @@ def supersolution(profile: OdeProfile, shift: float, t: float, x):
 
     Total on R.  A genuine barrier requires rho > r and a shift large enough
     that the envelope curvature is small; see ``calibrate_supersolution_shift``.
+    A scalar ``x`` gives a 0-d numpy value.
     """
     if t < 0 or shift < 0:
         raise DomainError("t and shift must be >= 0")
-    arr = np.asarray(x, dtype=float)
-    phi = phi0_total(profile.data, arr)
+    phi = phi0_total(profile.data, x)
     br = _bracket(profile, t + shift, phi)
-    _, w = _saturate(profile, br)
-    return scalar_or_array(arr, w)
+    return _saturate(profile, br)[1]
 
 
 def calibrate_supersolution_shift(profile: OdeProfile, family: ReactionFamily,
@@ -214,7 +209,7 @@ class SubsolutionParams:
 
 
 def subsolution(params: SubsolutionParams, profile: OdeProfile, t: float, x):
-    """Lower barrier: the plateau 1/(4M) where w >= 1/(2M), else g(w).
+    """Lower barrier: the plateau 1/(4M) where w >= 1/(2M), else g(w); 0-d for a scalar x.
 
     The plateau region {w >= 1/(2M)} is exactly {x <= x_M(t)}; evaluating
     through w avoids inverting u0 and is total on R.
@@ -222,12 +217,10 @@ def subsolution(params: SubsolutionParams, profile: OdeProfile, t: float, x):
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
     M = params.M
-    arr = np.asarray(x, dtype=float)
-    phi = phi0_total(profile.data, arr)
+    phi = phi0_total(profile.data, x)
     br = _bracket(profile, t, phi)
     w = _saturate(profile, br)[1]
-    out = np.where(w >= 1.0 / (2.0 * M), 1.0 / (4.0 * M), quadratic_cutoff(w, M))
-    return scalar_or_array(arr, out)
+    return np.where(w >= 1.0 / (2.0 * M), 1.0 / (4.0 * M), quadratic_cutoff(w, M))
 
 
 def cutoff_edge(params: SubsolutionParams, profile: OdeProfile, t: float) -> float:
@@ -324,8 +317,8 @@ def classify_regime(alpha: float, spec: InitialDataSpec) -> RegimeClassification
     this long-time regime, but they decide when it shows: at mu = 5 no run
     separates by t = 30, at mu = 0.5 the runs do (tests/test_separation.py).
     """
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ParameterError(f"alpha must be finite and > 0, got {alpha}")
     a1 = alpha + 1.0
     thr = 1.0 / a1
     b = spec.beta

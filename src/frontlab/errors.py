@@ -42,20 +42,9 @@ class NumericalError(FrontlabError, ArithmeticError):
 
 
 class SolverError(FrontlabError, RuntimeError):
-    """The time integration failed.  Carries the simulation time of the event."""
-
-    def __init__(self, message: str, t: float | None = None):
-        super().__init__(message)
-        self.t = t
+    """The time integration failed; the message names the simulation time."""
 
 
 class ConfigError(FrontlabError, ValueError):
-    """A configuration file could not be parsed or validated.
-
-    ``line`` is the 1-based line number when known, ``key`` the offending key.
-    """
-
-    def __init__(self, message: str, line: int | None = None, key: str | None = None):
-        super().__init__(message)
-        self.line = line
-        self.key = key
+    """A configuration file could not be parsed or validated; the message
+    names the offending key and, where the text gave it, its line."""

@@ -26,7 +26,6 @@ from enum import Enum
 
 import numpy as np
 
-from ._scalar import scalar_or_array
 from .errors import DomainError, ParameterError
 
 
@@ -45,14 +44,14 @@ class InitialDataSpec:
     scale: float | None = None
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ParameterError(f"tail exponent beta must be > 0, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ParameterError(f"tail exponent beta must be finite and > 0, got {self.beta}")
         if self.family is Family.SUB_EXPONENTIAL:
-            if self.mu is None or not self.mu > 0:
-                raise ParameterError("sub-exponential data need decay rate mu > 0")
+            if self.mu is None or not 0 < self.mu < math.inf:
+                raise ParameterError("sub-exponential data need a finite decay rate mu > 0")
         elif self.family is Family.ALGEBRAIC:
-            if self.scale is None or not self.scale > 0:
-                raise ParameterError("algebraic data need scale > 0 (else u0 does not decay)")
+            if self.scale is None or not 0 < self.scale < math.inf:
+                raise ParameterError("algebraic data need a finite scale > 0 for u0 to decay")
 
     @property
     def clamp_point(self) -> float:
@@ -85,7 +84,7 @@ def logarithmic(beta: float) -> InitialDataSpec:
 
 
 def eval_u0(spec: InitialDataSpec, x):
-    """Density u0(x) in (0, 1]; equals 1 left of the clamp point."""
+    """Density u0(x) in (0, 1], 1 left of the clamp point; 0-d for a scalar x."""
     arr = np.asarray(x, dtype=float)
     out = np.ones_like(arr)
     tail = arr > spec.clamp_point
@@ -98,14 +97,14 @@ def eval_u0(spec: InitialDataSpec, x):
         out[tail] = xt ** (-spec.beta)
     else:
         out[tail] = np.log(xt) ** (-spec.beta)
-    return scalar_or_array(arr, out)
+    return out
 
 
 def eval_phi0(spec: InitialDataSpec, x):
     """(phi, phi', phi'') of phi = -ln(u0) on the strict tail.
 
     Raises ``DomainError`` inside the clamped region, where the one-sided
-    kink makes derivatives undefined.
+    kink makes derivatives undefined.  A scalar ``x`` gives 0-d numpy values.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and np.min(arr) <= spec.clamp_point:
@@ -135,24 +134,25 @@ def eval_phi0(spec: InitialDataSpec, x):
         phi = b * np.log(L)
         dphi = b / (arr * L)
         ddphi = -b * (1.0 + L) / (arr * L) ** 2
-    return scalar_or_array(arr, phi, dphi, ddphi)
+    return phi, dphi, ddphi
 
 
 def phi0_total(spec: InitialDataSpec, x):
-    """phi = -ln(u0) on all of R: 0 on the plateau, closed form on the tail."""
+    """phi = -ln(u0) on R: 0 on the plateau, closed form on the tail; 0-d for a scalar x."""
     arr = np.asarray(x, dtype=float)
     out = np.zeros_like(arr)
     tail = arr > spec.clamp_point
     if np.any(tail):
         out[tail] = eval_phi0(spec, arr[tail])[0]
-    return scalar_or_array(arr, out)
+    return out
 
 
 def position_at_phi(spec: InitialDataSpec, phi):
     """Tail position where -ln(u0) reaches ``phi`` >= 0.
 
     The tail inverse in log space: the position where u0 = exp(-phi), still
-    usable when that density underflows double precision.
+    usable when that density underflows double precision.  A scalar
+    ``phi`` gives a 0-d numpy value.
     """
     arr = np.asarray(phi, dtype=float)
     if arr.size and np.min(arr) < 0.0:
@@ -166,4 +166,4 @@ def position_at_phi(spec: InitialDataSpec, phi):
         out = np.exp(arr / b)
     else:
         out = np.exp(np.exp(arr / b))
-    return scalar_or_array(arr, out)
+    return out

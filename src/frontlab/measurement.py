@@ -22,7 +22,6 @@ import numpy as np
 from .envelope import Regime
 from .errors import (AnalysisError, BelowLevelError, FrontExitedDomainError,
                      InputError, OffsetError, ParameterError)
-from .reporting import CHUNK_ROWS, float_reprs, write_rows
 
 # candidate offsets scanned when b is fitted
 OFFSET_GRID_SIZE = 51
@@ -87,17 +86,6 @@ class LevelSetTrace:
         t0, t1 = float(self.times[0]), float(self.times[-1])
         return t0 + 0.5 * (t1 - t0), t1
 
-    def to_csv(self, target) -> None:
-        """Write header t,x_lambda and one full-precision row per sample."""
-        if isinstance(target, (str,)) or hasattr(target, "__fspath__"):
-            with open(target, "w", encoding="ascii", newline="\n") as fh:
-                self.to_csv(fh)
-            return
-        target.write("t,x_lambda\n")
-        for start in range(0, self.times.size, CHUNK_ROWS):
-            write_rows(target, float_reprs(self.times, start),
-                       float_reprs(self.positions, start))
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -139,8 +127,8 @@ def _windowed(trace: LevelSetTrace, window):
     if window is None:
         window = trace.default_window()
     t0, t1 = window
-    m = (trace.times >= t0) & (trace.times <= t1)
-    t, x = trace.times[m], trace.positions[m]
+    cut = trace.window(t0, t1)
+    t, x = cut.times, cut.positions
     if t.size < 10:
         raise InputError(f"need >= 10 samples in window, got {t.size}")
     return t, x, (float(t0), float(t1))
@@ -243,9 +231,8 @@ def selection_residual(fit: FitResult, trace: LevelSetTrace) -> float:
     Common yardstick across the three models (their native transformed
     residuals live in different coordinates).
     """
-    t0, t1 = fit.window
-    m = (trace.times >= t0) & (trace.times <= t1)
-    t, x = trace.times[m], trace.positions[m]
+    cut = trace.window(*fit.window)
+    t, x = cut.times, cut.positions
     pred = fit.predict(t)
     denom = np.maximum(np.abs(x), 1e-12)
     return float(np.sqrt(np.mean(((pred - x) / denom) ** 2)))

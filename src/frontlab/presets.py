@@ -234,7 +234,7 @@ def _run_fig9(out_dir: str, log) -> list[tuple[str, Diagnostics]]:
         runs.append((f"fig9:{label}", result.diagnostics))
         trace = result.traces[LAMBDA]
         name = f"trace_{label}.csv"
-        trace.to_csv(os.path.join(out_dir, name))
+        reporting.write_trace_csv(os.path.join(out_dir, name), trace)
         trace_files.append(name)
         predicted = classify_regime(alpha, config.data).regime
         selected = _fit_and_log(trace, alpha, r, predicted, f"fig9: {label}", log)

@@ -16,13 +16,13 @@ the paper's hypothesis with its constants K = 1 and s0 = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._scalar import scalar_or_array
 from .errors import DomainError, InputError, ParameterError
 
 # Below this, ln(s) is not worth evaluating: the true rate is under 1e-298
@@ -44,10 +44,10 @@ class ReactionParams:
     alpha: float = 0.4
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ParameterError(f"growth rate r must be > 0, got {self.r}")
-        if not self.alpha > 0:
-            raise ParameterError(f"exponent alpha must be > 0, got {self.alpha}")
+        if not 0 < self.r < math.inf:
+            raise ParameterError(f"growth rate r must be finite and > 0, got {self.r}")
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError(f"exponent alpha must be finite and > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -105,19 +105,17 @@ def _rate_array(kind: ReactionKind, p: ReactionParams, s: np.ndarray,
 def eval_f(family: ReactionFamily, s, lo: float | None = None):
     """Evaluate the reaction rate at state value(s) ``s`` in [0, 1].
 
-    Accepts scalars or arrays.  Raises ``DomainError`` for values outside
-    [0, 1].  Exactly 0 is returned at s = 0 and s = 1 (continuous limits;
-    no logarithm of zero is ever taken).  An array result is a new array,
-    which the caller may overwrite.
+    Takes and returns arrays; a scalar ``s`` gives a 0-d array.  Raises
+    ``DomainError`` for values outside [0, 1].  Exactly 0 is returned at
+    s = 0 and s = 1 (continuous limits; no logarithm of zero is ever taken).
+    The result is a new array, which the caller may overwrite.
 
     ``lo``, when given, is the caller's promise that ``s`` lies in [0, 1]
     with minimum ``lo`` (the solver knows both from its previous step); the
     range check and its two reductions are then skipped.  The result is
     the same, bit for bit, as without it.
     """
-    # a 1-D float64 array, the solver's state, needs no conversion
-    vector = type(s) is np.ndarray and s.dtype == np.float64 and s.ndim == 1
-    arr = s if vector else np.asarray(s, dtype=float)
+    arr = np.asarray(s, dtype=np.float64)
     if not arr.size:
         return np.zeros_like(arr)
     if lo is None:
@@ -126,11 +124,9 @@ def eval_f(family: ReactionFamily, s, lo: float | None = None):
         if lo < 0.0 or hi > 1.0:
             bad = arr[(arr < 0.0) | (arr > 1.0)].flat[0]
             raise DomainError(f"state value {bad} outside [0, 1]")
-    if vector:
-        return _rate_array(family.kind, family.params, arr, lo)
     # 1-D, as arithmetic on a 0-d array gives numpy scalars, which cannot be masked
     out = _rate_array(family.kind, family.params, arr.reshape(-1), lo)
-    return scalar_or_array(arr, out.reshape(arr.shape))
+    return out.reshape(arr.shape)
 
 
 def percapita_bound(params: ReactionParams, s: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .measurement import FitResult
+    from .measurement import FitResult, LevelSetTrace
 
 # rows per formatted chunk: long enough that the joins run in C, short enough
 # that a chunk's strings stay small next to the arrays being written
@@ -55,6 +55,15 @@ def write_snapshots_csv(path, snapshots) -> None:
                 write_rows(fh, t_reprs, xs, float_reprs(snap.values, start))
 
 
+def write_trace_csv(path, trace: LevelSetTrace) -> None:
+    """Header t,x_lambda and one full-precision row per sample of ``trace``."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("t,x_lambda\n")
+        for start in range(0, trace.times.size, CHUNK_ROWS):
+            write_rows(fh, float_reprs(trace.times, start),
+                       float_reprs(trace.positions, start))
+
+
 def trace_filename(lam: float) -> str:
     return f"trace_lambda_{lam!r}.csv"
 
@@ -63,7 +72,7 @@ def write_traces(out_dir, traces: dict) -> list[str]:
     names = []
     for lam in sorted(traces):
         name = trace_filename(lam)
-        traces[lam].to_csv(os.path.join(out_dir, name))
+        write_trace_csv(os.path.join(out_dir, name), traces[lam])
         names.append(name)
     return names
 

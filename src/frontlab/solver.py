@@ -307,7 +307,7 @@ def run(config: SimulationConfig,
             lo = imex_step(state, config)
             state.t = k * config.dt  # keep time exact; avoids accumulation drift
             if math.isnan(lo):
-                raise SolverError(f"NaN in state at t={state.t}", t=state.t)
+                raise SolverError(f"NaN in state at t={state.t}")
         grid, values = state.grid, state.values
         front = math.inf
         if not values[-1] >= lam_front:

@@ -23,6 +23,7 @@ from .envelope import (OdeProfile, calibrate_subsolution,
                        subsolution, supersolution)
 from .errors import InputError
 from .initial_data import algebraic, sub_exponential
+from .presets import PRESETS
 from .reaction import ReactionParams, weakly_monostable, verify_hypothesis_bounds
 from .solver import SimulationConfig, run
 
@@ -111,15 +112,8 @@ def verify_envelope() -> list[Check]:
 
 
 def sandwich_config() -> SimulationConfig:
-    return SimulationConfig(
-        reaction=weakly_monostable(alpha=0.4),
-        data=algebraic(beta=1.0, scale=100.0),
-        dx=0.05,
-        dt=0.01,
-        t_end=8.0,
-        snapshot_times=(2.0, 4.0, 6.0, 8.0),
-        lambdas=(0.5,),
-    )
+    """The fig7a panel: algebraic beta = 1, scale = 100, alpha = 0.4, t_end = 8."""
+    return PRESETS["fig7a"].config
 
 
 def verify_sandwich(result=None) -> list[Check]:

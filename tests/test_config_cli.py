@@ -73,11 +73,12 @@ class TestParseConfig:
         line = len(text.splitlines())
         with pytest.raises(ConfigError) as exc_info:
             parse_config(text)
-        assert (exc_info.value.key, exc_info.value.line) == (key, line)
+        message = f"unknown key {key!r} in [{section}] at line {line}"
+        assert str(exc_info.value) == message
         path = tmp_path / "removed.cfg"
         path.write_text(text)
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert f"unknown key {key!r} in [{section}] at line {line}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError):
@@ -85,10 +86,10 @@ class TestParseConfig:
 
     def test_unknown_key_named_with_line(self):
         text = MINIMAL.replace("dx = 0.05", "dx = 0.05\nwibble = 3")
+        line = text.splitlines().index("wibble = 3") + 1
         with pytest.raises(ConfigError) as exc_info:
             parse_config(text)
-        assert exc_info.value.key == "wibble"
-        assert exc_info.value.line is not None
+        assert str(exc_info.value) == f"unknown key 'wibble' in [grid] at line {line}"
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -97,16 +98,18 @@ class TestParseConfig:
     def test_missing_required_key_named(self):
         with pytest.raises(ConfigError) as exc_info:
             parse_config(MINIMAL.replace("dt = 0.01", ""))
-        assert exc_info.value.key == "dt"
+        assert str(exc_info.value) == "missing required key 'dt' in [time]"
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace("dx = 0.05", "dx = 0.05\ndx = 0.1"))
 
     def test_bad_value_reports_line(self):
+        text = MINIMAL.replace("dt = 0.01", "dt = fast")
+        line = text.splitlines().index("dt = fast") + 1
         with pytest.raises(ConfigError) as exc_info:
-            parse_config(MINIMAL.replace("dt = 0.01", "dt = fast"))
-        assert exc_info.value.line is not None
+            parse_config(text)
+        assert str(exc_info.value).startswith(f"bad value for 'dt' at line {line}: ")
 
     def test_comments_and_blank_lines(self):
         text = "# leading comment\n" + MINIMAL.replace(
@@ -116,6 +119,14 @@ class TestParseConfig:
     def test_static_growth(self):
         text = MINIMAL.replace("dx = 0.05", "dx = 0.05\ngrowth = static")
         assert parse_config(text).growth_margin is None
+
+    def test_static_growth_rejects_margin(self):
+        # a static domain has no margin to set; the key used to vanish silently
+        text = MINIMAL.replace("dx = 0.05", "dx = 0.05\ngrowth = static\ngrowth_margin = 0.3")
+        line = text.splitlines().index("growth_margin = 0.3") + 1
+        with pytest.raises(ConfigError,
+                           match=f"growth_margin at line {line} conflicts with growth = static"):
+            parse_config(text)
 
     def test_snapshot_list(self):
         text = MINIMAL.replace("t_end = 8.0", "t_end = 8.0\nsnapshot_times = 2, 4, 6, 8")
@@ -149,6 +160,14 @@ class TestCli:
         code = main(["classify", "--alpha", "0.4", "--family", "bogus",
                      "--beta", "1.0"])
         assert code == 2
+
+    @pytest.mark.parametrize("alpha, beta", [("inf", "0.5"), ("0.4", "inf")])
+    def test_classify_infinite_exponent_exit_two(self, alpha, beta, capsys):
+        # alpha = inf gave threshold 0 and "finite_speed" for every beta
+        code = main(["classify", "--alpha", alpha, "--family", "sub_exponential",
+                     "--beta", beta])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_verify_hypothesis_passes(self, capsys):
         code = main(["verify", "hypothesis"])
@@ -291,6 +310,27 @@ class TestCli:
         path.write_text("\n".join(lines) + "\n")
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
+        assert steps == []
+
+    @pytest.mark.parametrize("section, key", [
+        ("reaction", "r"), ("reaction", "alpha"), ("initial_data", "beta"),
+        ("initial_data", "mu"), ("initial_data", "scale")])
+    def test_simulate_infinite_model_parameter_exit_two(self, section, key, tmp_path,
+                                                        monkeypatch, capsys):
+        # unchecked, r = inf ends in a NaN state (exit 3), and alpha, beta or
+        # mu = inf run to exit 0 with no reaction or degenerate data
+        steps = []
+        monkeypatch.setattr(solver, "imex_step", lambda *args: steps.append(args))
+        text = MINIMAL
+        if key == "mu":
+            text = text.replace("algebraic", "sub_exponential").replace("scale = 100.0\n", "")
+        lines = [line for line in text.splitlines() if line.split(" = ")[0] != key]
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = inf")
+        path = tmp_path / "infinite.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f" {key} " in err and "finite" in err
         assert steps == []
 
     def test_simulate_missing_config_exit_two(self, tmp_path):

@@ -1,7 +1,5 @@
 """Level extraction, trace handling, and rate-model fitting."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +14,7 @@ from frontlab.measurement import (OFFSET_GRID_SIZE, LevelSetTrace,
                                   fit_linear, fit_power, select_model,
                                   selection_residual)
 from frontlab.presets import PRESETS
+from frontlab.reporting import write_trace_csv
 from frontlab.solver import run
 
 
@@ -109,21 +108,20 @@ class TestLevelSetTrace:
         with pytest.raises(InputError):
             LevelSetTrace(0.5, [0.0, 1.0], [0.0])
 
-    def test_csv_round_trip_exact(self):
+    def test_csv_round_trip_exact(self, tmp_path):
         t = np.array([0.0, 0.1, 0.2, 1.0 / 3.0])
         x = np.array([1.0, 1.2345678901234567, 2.0, np.pi])
         trace = LevelSetTrace(0.5, t, x)
-        buf = io.StringIO()
-        trace.to_csv(buf)
-        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
         assert np.array_equal([float(tt) for tt, _ in rows], t)
         assert np.array_equal([float(xx) for _, xx in rows], x)
 
-    def test_csv_header(self):
+    def test_csv_header(self, tmp_path):
         trace = LevelSetTrace(0.5, [0.0, 1.0], [0.5, 1.5])
-        buf = io.StringIO()
-        trace.to_csv(buf)
-        assert buf.getvalue().splitlines()[0] == "t,x_lambda"
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        assert (tmp_path / "trace.csv").read_text().splitlines()[0] == "t,x_lambda"
 
     def test_window_and_default(self):
         trace = LevelSetTrace(0.5, np.linspace(0, 10, 21), np.linspace(0, 5, 21))

@@ -1,6 +1,9 @@
 """The package's public names and settable values."""
 
 import dataclasses
+import importlib
+
+import pytest
 
 import frontlab
 from frontlab import config, errors, reaction
@@ -27,6 +30,21 @@ def test_deleted_module_names_gone():
     for module, name in ((errors, "EnvelopeDomainError"), (reaction, "BoundViolation"),
                          (reaction, "log_sample_grid")):
         assert not hasattr(module, name), name
+
+
+def test_scalar_module_gone():
+    # evaluators take and return arrays; no scalar-in, float-out layer is left
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("frontlab._scalar")
+
+
+def test_errors_carry_only_their_message():
+    for cls in (errors.ConfigError, errors.SolverError):
+        assert "__init__" not in vars(cls), cls.__name__
+        err = cls("message")
+        assert err.args == ("message",)
+        for name in ("line", "key", "t"):
+            assert not hasattr(err, name), (cls.__name__, name)
 
 
 # every settable value: a new field or config key has to be added here too

@@ -9,7 +9,7 @@ import pytest
 from frontlab.initial_data import algebraic
 from frontlab.measurement import LevelSetTrace
 from frontlab.reaction import weakly_monostable
-from frontlab.reporting import CHUNK_ROWS, write_snapshots_csv
+from frontlab.reporting import CHUNK_ROWS, write_snapshots_csv, write_trace_csv
 from frontlab.solver import SimulationConfig, Snapshot, _make_grid, run
 
 EDGE_VALUES = [0.0, 1.0, 5e-324, 1e-300]
@@ -119,17 +119,17 @@ class TestTraceCsv:
         return LevelSetTrace(0.5, 0.01 * np.arange(n), positions)
 
     @pytest.mark.parametrize("n", [0] + SIZES)
-    def test_to_stringio(self, n):
+    def test_to_stringio(self, tmp_path, n):
+        # the file's text, read back, against the oracle's StringIO text
         trace = self.trace(n)
-        fh = io.StringIO()
-        trace.to_csv(fh)
-        assert fh.getvalue() == oracle_trace_csv(trace)
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        assert (tmp_path / "trace.csv").read_text(encoding="ascii") == oracle_trace_csv(trace)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_to_path(self, tmp_path, n):
         trace = self.trace(n)
-        trace.to_csv(tmp_path / "trace.csv")
-        trace.to_csv(str(tmp_path / "trace_str.csv"))
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        write_trace_csv(str(tmp_path / "trace_str.csv"), trace)
         want = oracle_trace_csv(trace).encode("ascii")
         assert (tmp_path / "trace.csv").read_bytes() == want
         assert (tmp_path / "trace_str.csv").read_bytes() == want
