@@ -93,8 +93,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     family = Family(args.family.lower())
-    # the long-time regime depends on the family and beta only; any mu and scale do
-    spec = InitialDataSpec(family, args.beta, mu=1.0, scale=1.0)
+    # the long-time regime depends on the family and beta only; any mu or scale does
+    spec = InitialDataSpec(family, args.beta,
+                           mu=1.0 if family is Family.SUB_EXPONENTIAL else None,
+                           scale=1.0 if family is Family.ALGEBRAIC else None)
     cls = classify_regime(args.alpha, spec)
     print(f"family={family.value} alpha={args.alpha} beta={args.beta}")
     print(f"regime: {cls.regime.value}")

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, ParameterError
+from .errors import InputError, SolverError
 from .initial_data import (Family, InitialDataSpec, eval_phi0, phi0_total,
                            position_at_phi)
 from .reaction import ReactionFamily, eval_f
@@ -49,9 +49,9 @@ class OdeProfile:
 
     def __post_init__(self):
         if not 0 < self.rho < math.inf:
-            raise ParameterError(f"rho must be finite and > 0, got {self.rho}")
+            raise InputError(f"rho must be finite and > 0, got {self.rho}")
         if not 0 < self.alpha < math.inf:
-            raise ParameterError(f"alpha must be finite and > 0, got {self.alpha}")
+            raise InputError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 def _bracket(profile: OdeProfile, t, phi):
@@ -69,15 +69,15 @@ def _saturate(profile: OdeProfile, br):
 def ode_envelope(profile: OdeProfile, t: float, x):
     """Envelope value w(t, x) in (0, 1] for x right of the saturation edge.
 
-    Raises ``DomainError`` if any query point lies left of the edge, where
+    Raises ``InputError`` if any query point lies left of the edge, where
     the formula would exceed 1.  A scalar ``x`` gives a 0-d numpy value.
     """
     if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+        raise InputError(f"time must be >= 0, got {t}")
     phi = phi0_total(profile.data, x)
     br = _bracket(profile, t, phi)
     if np.any(br < 1.0 - _FP_SLACK):
-        raise DomainError(f"envelope undefined left of the saturation edge at t={t}")
+        raise InputError(f"envelope undefined left of the saturation edge at t={t}")
     return _saturate(profile, br)[1]
 
 
@@ -89,7 +89,7 @@ def _edge(profile: OdeProfile, t: float, L0: float) -> float:
     rho*a1*t solved for phi = -ln(u0).
     """
     if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+        raise InputError(f"time must be >= 0, got {t}")
     a1 = profile.alpha + 1.0
     phi = (L0 ** a1 + profile.rho * a1 * t) ** (1.0 / a1) - 1.0
     return float(position_at_phi(profile.data, phi))
@@ -113,7 +113,7 @@ def envelope_derivatives(profile: OdeProfile, t: float, x):
     phi, dphi, ddphi = eval_phi0(profile.data, x)
     br = _bracket(profile, t, phi)
     if np.any(br < 1.0 - _FP_SLACK):
-        raise DomainError(f"derivatives undefined left of the saturation edge at t={t}")
+        raise InputError(f"derivatives undefined left of the saturation edge at t={t}")
     al = profile.alpha
     a1 = al + 1.0
     L, w = _saturate(profile, br)
@@ -137,7 +137,7 @@ def supersolution(profile: OdeProfile, shift: float, t: float, x):
     A scalar ``x`` gives a 0-d numpy value.
     """
     if t < 0 or shift < 0:
-        raise DomainError("t and shift must be >= 0")
+        raise InputError("t and shift must be >= 0")
     phi = phi0_total(profile.data, x)
     br = _bracket(profile, t + shift, phi)
     return _saturate(profile, br)[1]
@@ -151,7 +151,7 @@ def calibrate_supersolution_shift(profile: OdeProfile, family: ReactionFamily,
     saturation edge and ``x_max`` for every time in ``t_grid``.
     """
     if not profile.rho > family.params.r:
-        raise ParameterError("supersolution needs rho > r")
+        raise InputError("supersolution needs rho > r")
     return _double_until(
         lambda shift: _supersolution_ok(profile, family, t_grid, x_max, shift),
         1.0, "supersolution shift")
@@ -163,7 +163,7 @@ def _double_until(ok, value: float, what: str) -> float:
         if ok(value):
             return value
         value *= 2.0
-    raise CalibrationError(
+    raise SolverError(
         f"{what} doubling did not validate within {_MAX_DOUBLINGS} steps")
 
 
@@ -205,7 +205,7 @@ class SubsolutionParams:
 
     def __post_init__(self):
         if not self.M >= 0.5:
-            raise ParameterError(f"M={self.M} below admissible threshold 0.5")
+            raise InputError(f"M={self.M} below admissible threshold 0.5")
 
 
 def subsolution(params: SubsolutionParams, profile: OdeProfile, t: float, x):
@@ -215,7 +215,7 @@ def subsolution(params: SubsolutionParams, profile: OdeProfile, t: float, x):
     through w avoids inverting u0 and is total on R.
     """
     if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+        raise InputError(f"time must be >= 0, got {t}")
     M = params.M
     phi = phi0_total(profile.data, x)
     br = _bracket(profile, t, phi)
@@ -233,9 +233,9 @@ def calibrate_subsolution(profile: OdeProfile, family: ReactionFamily,
     """Double M until v_t - v_xx - f(v) <= 0 on probe points past the cutoff edge."""
     r = family.params.r
     if not profile.rho < r:
-        raise ParameterError("subsolution needs rho < r")
+        raise InputError("subsolution needs rho < r")
     if not profile.rho > 0.75 * r:
-        raise ParameterError("subsolution needs rho > 3r/4")
+        raise InputError("subsolution needs rho > 3r/4")
     M = _double_until(
         lambda M: _subsolution_ok(SubsolutionParams(M), profile, family, t_grid, x_max),
         10.0, "subsolution amplitude")
@@ -318,7 +318,7 @@ def classify_regime(alpha: float, spec: InitialDataSpec) -> RegimeClassification
     separates by t = 30, at mu = 0.5 the runs do (tests/test_separation.py).
     """
     if not 0 < alpha < math.inf:
-        raise ParameterError(f"alpha must be finite and > 0, got {alpha}")
+        raise InputError(f"alpha must be finite and > 0, got {alpha}")
     a1 = alpha + 1.0
     thr = 1.0 / a1
     b = spec.beta
@@ -345,9 +345,9 @@ def predict_level_envelope(alpha: float, r: float, spec: InitialDataSpec,
     absorbed downstream by fit offsets.
     """
     if not 0 <= epsilon < r:
-        raise ParameterError(f"epsilon must be in [0, r), got {epsilon}")
+        raise InputError(f"epsilon must be in [0, r), got {epsilon}")
     if not t > 0:
-        raise DomainError(f"t={t} too small: bracket densities leave the tail")
+        raise InputError(f"t={t} too small: bracket densities leave the tail")
     a1 = alpha + 1.0
     y_lo = ((r - epsilon) * a1 * t) ** (1.0 / a1)
     y_hi = ((r + epsilon) * a1 * t) ** (1.0 / a1)

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import InputError
 
 
 class Family(Enum):
@@ -45,13 +45,18 @@ class InitialDataSpec:
 
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
-            raise ParameterError(f"tail exponent beta must be finite and > 0, got {self.beta}")
+            raise InputError(f"tail exponent beta must be finite and > 0, got {self.beta}")
+        name = self.family.value
+        if self.mu is not None and self.family is not Family.SUB_EXPONENTIAL:
+            raise InputError(f"mu is a parameter of sub_exponential data, not of {name}")
+        if self.scale is not None and self.family is not Family.ALGEBRAIC:
+            raise InputError(f"scale is a parameter of algebraic data, not of {name}")
         if self.family is Family.SUB_EXPONENTIAL:
             if self.mu is None or not 0 < self.mu < math.inf:
-                raise ParameterError("sub-exponential data need a finite decay rate mu > 0")
+                raise InputError("sub-exponential data need a finite decay rate mu > 0")
         elif self.family is Family.ALGEBRAIC:
             if self.scale is None or not 0 < self.scale < math.inf:
-                raise ParameterError("algebraic data need a finite scale > 0 for u0 to decay")
+                raise InputError("algebraic data need a finite scale > 0 for u0 to decay")
 
     @property
     def clamp_point(self) -> float:
@@ -103,12 +108,12 @@ def eval_u0(spec: InitialDataSpec, x):
 def eval_phi0(spec: InitialDataSpec, x):
     """(phi, phi', phi'') of phi = -ln(u0) on the strict tail.
 
-    Raises ``DomainError`` inside the clamped region, where the one-sided
+    Raises ``InputError`` inside the clamped region, where the one-sided
     kink makes derivatives undefined.  A scalar ``x`` gives 0-d numpy values.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and np.min(arr) <= spec.clamp_point:
-        raise DomainError(
+        raise InputError(
             f"x={np.min(arr)} is not in the strict tail (clamp point "
             f"{spec.clamp_point} of {spec.family.value})")
     b = spec.beta
@@ -156,7 +161,7 @@ def position_at_phi(spec: InitialDataSpec, phi):
     """
     arr = np.asarray(phi, dtype=float)
     if arr.size and np.min(arr) < 0.0:
-        raise DomainError(f"log-transform value must be >= 0, got {np.min(arr)}")
+        raise InputError(f"log-transform value must be >= 0, got {np.min(arr)}")
     b = spec.beta
     if spec.family is Family.SUB_EXPONENTIAL:
         out = (arr / spec.mu) ** (1.0 / b)

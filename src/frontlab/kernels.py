@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import SolverError
 
 # s**-L <= 2**SCALE_BITS bounds the scaled terms of a row of L cells
 SCALE_BITS = 600
@@ -102,7 +102,7 @@ def _factor(n, mu):
     for i in range(1, cells):
         piv[i] = b_in - (-mu) * cp[i - 1]
         if piv[i] == 0.0:
-            raise ZeroDivisionError("zero pivot in tridiagonal solve")
+            raise SolverError("zero pivot in tridiagonal solve")
         cp[i] = -mu / piv[i]
         if cp[i] == cp[i - 1]:
             # the pivot recurrence has reached its fixed point exactly
@@ -118,7 +118,7 @@ def _factor(n, mu):
     rows = -(-cells // max(limit, 1))
     width = -(-cells // rows)
     if limit < 1 or width < m:
-        raise NumericalError(f"mu = {mu!r} is too small for a row of the scan")
+        raise SolverError(f"mu = {mu!r} is too small for a row of the scan")
     pads = rows * width - cells
     d_buf, x_buf = np.zeros(rows * width), np.zeros(1 + rows * width)
     # the elimination divides by the settled pivot cell after cell, so its

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import Regime
-from .errors import (AnalysisError, BelowLevelError, FrontExitedDomainError,
-                     InputError, OffsetError, ParameterError)
+from .errors import InputError
 
 # candidate offsets scanned when b is fitted
 OFFSET_GRID_SIZE = 51
@@ -37,23 +36,23 @@ def extract_level_position(grid, values, lam: float) -> float:
 
     As v[-1] < lam, that is the pair (v[i] >= lam, v[i+1] < lam) at the last
     index i with v[i] >= lam, found in one comparison pass.  Raises
-    ``BelowLevelError`` when the level set is empty and
-    ``FrontExitedDomainError`` when the rightmost value still exceeds lam.
+    ``InputError`` when the level set is empty or the rightmost value still
+    exceeds lam.
     """
     if not 0 < lam < 1:
-        raise ParameterError(f"level must be in (0, 1), got {lam}")
+        raise InputError(f"level must be in (0, 1), got {lam}")
     g = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
     if g.shape != v.shape or g.size < 2:
         raise InputError("grid and values must be equal-length, size >= 2")
     if v[-1] >= lam:
-        raise FrontExitedDomainError(
+        raise InputError(
             f"rightmost value {v[-1]} >= level {lam}: front left the domain")
     # the last True byte of the mask, searched from the right (a reversed
     # argmax walks the mask element by element)
     i = (v >= lam).tobytes().rfind(1)
     if i < 0:
-        raise BelowLevelError(f"no value reaches level {lam}")
+        raise InputError(f"no value reaches level {lam}")
     return float(g[i] + (g[i + 1] - g[i]) * (v[i] - lam) / (v[i] - v[i + 1]))
 
 
@@ -173,12 +172,12 @@ def _fit_transformed(u, x, offset, model, win, extra):
     if offset is None:
         top = float(np.min(x))
         if top <= 0:
-            raise OffsetError("window contains nonpositive positions; fix an offset")
+            raise InputError("window contains nonpositive positions; fix an offset")
         offsets = np.linspace(0.0, top, OFFSET_GRID_SIZE, endpoint=False)
     else:
         offsets = np.array([float(offset)])
         if np.any(x - offsets[0] <= 0):
-            raise OffsetError(f"offset {offsets[0]} makes x - b nonpositive in the window")
+            raise InputError(f"offset {offsets[0]} makes x - b nonpositive in the window")
     rows = max(1, OFFSET_BLOCK_CELLS // x.size)
     blocks = [_ols(u, np.log(x - offsets[i:i + rows, None]))
               for i in range(0, offsets.size, rows)]
@@ -254,13 +253,13 @@ def select_model(trace: LevelSetTrace, alpha: float, r: float) -> tuple[FitResul
                 fits[model] = fit_power(trace)
             else:
                 fits[model] = fit_exp_power(trace, alpha, r)
-        except (InputError, OffsetError):
+        except InputError:
             continue
     if not fits:
-        raise AnalysisError("no rate model could be fitted to the trace")
+        raise InputError("no rate model could be fitted to the trace")
     scores = {m: selection_residual(f, trace) for m, f in fits.items()}
     best_score = min(scores.values())
     for model in _MODEL_ORDER:
         if model in scores and scores[model] <= COMPLEXITY_MARGIN * best_score:
             return fits[model], _MODEL_REGIME[model]
-    raise AnalysisError("model selection failed")  # pragma: no cover
+    raise InputError("model selection failed")  # pragma: no cover

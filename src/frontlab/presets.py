@@ -24,7 +24,7 @@ from .initial_data import InitialDataSpec, algebraic, sub_exponential
 from .measurement import select_model
 from .reaction import (ReactionParams, compare_families_near_zero,
                        weakly_monostable)
-from .errors import AnalysisError, InputError
+from .errors import InputError
 from .solver import Diagnostics, RunResult, SimulationConfig, run
 
 DX = 0.05
@@ -150,7 +150,7 @@ def _fit_and_log(trace, alpha: float, r: float, predicted: Regime, prefix: str,
     """
     try:
         fit, regime = select_model(trace, alpha, r)
-    except (AnalysisError, InputError) as exc:
+    except InputError as exc:
         log(f"{prefix} fit skipped ({exc})")
         return None
     log(f"{prefix} fitted {fit.model} (headline {fit.exponent:.4g}), "

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError, ParameterError
+from .errors import InputError
 
 # Below this, ln(s) is not worth evaluating: the true rate is under 1e-298
 # and the limit value is 0.  Also keeps subnormals out of the power kernel.
@@ -45,9 +45,9 @@ class ReactionParams:
 
     def __post_init__(self):
         if not 0 < self.r < math.inf:
-            raise ParameterError(f"growth rate r must be finite and > 0, got {self.r}")
+            raise InputError(f"growth rate r must be finite and > 0, got {self.r}")
         if not 0 < self.alpha < math.inf:
-            raise ParameterError(f"exponent alpha must be finite and > 0, got {self.alpha}")
+            raise InputError(f"exponent alpha must be finite and > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def _rate_array(kind: ReactionKind, p: ReactionParams, s: np.ndarray,
     elif kind is ReactionKind.ALLEE:
         out = p.r * s ** (p.alpha + 1.0) * (1.0 - s)
     else:  # pragma: no cover - enum is closed
-        raise ParameterError(f"unknown reaction kind {kind}")
+        raise InputError(f"unknown reaction kind {kind}")
     if lo <= UNDERFLOW_CUTOFF:
         out[s <= UNDERFLOW_CUTOFF] = 0.0
     return out
@@ -106,7 +106,7 @@ def eval_f(family: ReactionFamily, s, lo: float | None = None):
     """Evaluate the reaction rate at state value(s) ``s`` in [0, 1].
 
     Takes and returns arrays; a scalar ``s`` gives a 0-d array.  Raises
-    ``DomainError`` for values outside [0, 1].  Exactly 0 is returned at
+    ``InputError`` for values outside [0, 1].  Exactly 0 is returned at
     s = 0 and s = 1 (continuous limits; no logarithm of zero is ever taken).
     The result is a new array, which the caller may overwrite.
 
@@ -123,7 +123,7 @@ def eval_f(family: ReactionFamily, s, lo: float | None = None):
         lo, hi = np.fmin.reduce(arr, axis=None), np.fmax.reduce(arr, axis=None)
         if lo < 0.0 or hi > 1.0:
             bad = arr[(arr < 0.0) | (arr > 1.0)].flat[0]
-            raise DomainError(f"state value {bad} outside [0, 1]")
+            raise InputError(f"state value {bad} outside [0, 1]")
     # 1-D, as arithmetic on a 0-d array gives numpy scalars, which cannot be masked
     out = _rate_array(family.kind, family.params, arr.reshape(-1), lo)
     return out.reshape(arr.shape)

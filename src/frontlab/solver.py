@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .errors import InputError, NumericalError, ParameterError, SolverError
+from .errors import InputError, SolverError
 from .initial_data import InitialDataSpec, eval_u0
 from .measurement import LevelSetTrace, extract_level_position
 from .reaction import ReactionFamily, eval_f
@@ -41,12 +41,12 @@ CELL_CAP = 4_000_000
 
 
 def _step_of(t: float, dt: float) -> int:
-    """The step that ends at time ``t``; ``ParameterError`` when ``t`` is not
+    """The step that ends at time ``t``; ``InputError`` when ``t`` is not
     a whole multiple of ``dt``."""
     steps = t / dt
     k = round(steps)
     if abs(steps - k) > STEP_TOL * abs(k):
-        raise ParameterError(f"time {t} is not a whole number of steps of dt = {dt}")
+        raise InputError(f"time {t} is not a whole number of steps of dt = {dt}")
     return k
 
 
@@ -84,30 +84,32 @@ class SimulationConfig:
         for name in ("dx", "dt", "t_end", "x_left", "x_right", "floor"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value}")
+                raise InputError(f"{name} must be finite, got {value}")
         if not all(map(math.isfinite, self.snapshot_times)):
-            raise ParameterError(f"snapshot_times must be finite, got {self.snapshot_times}")
+            raise InputError(f"snapshot_times must be finite, got {self.snapshot_times}")
         if not self.dx > 0:
-            raise ParameterError(f"dx must be > 0, got {self.dx}")
+            raise InputError(f"dx must be > 0, got {self.dx}")
         if not self.dt > 0:
-            raise ParameterError(f"dt must be > 0, got {self.dt}")
+            raise InputError(f"dt must be > 0, got {self.dt}")
         if self.t_end < 0:
-            raise ParameterError(f"t_end must be >= 0, got {self.t_end}")
+            raise InputError(f"t_end must be >= 0, got {self.t_end}")
+        if not self.lambdas:
+            raise InputError("lambdas must name at least one level")
         if any(not 0 < lam < 1 for lam in self.lambdas):
-            raise ParameterError(f"levels must lie in (0, 1), got {self.lambdas}")
+            raise InputError(f"levels must lie in (0, 1), got {self.lambdas}")
         for i, lam in enumerate(self.lambdas):
             if lam in self.lambdas[:i]:
-                raise ParameterError(f"level {lam} is given twice")
+                raise InputError(f"level {lam} is given twice")
         n_steps = _step_of(self.t_end, self.dt)
         steps = [_step_of(ts, self.dt) for ts in self.snapshot_times]
         if any(not 0 <= k <= n_steps for k in steps):
-            raise ParameterError("snapshot times must lie in [0, t_end]")
+            raise InputError("snapshot times must lie in [0, t_end]")
         if any(later <= earlier for earlier, later in zip(steps, steps[1:])):
-            raise ParameterError("snapshot times must be increasing")
+            raise InputError("snapshot times must be increasing")
         if self.growth_margin is not None and not 0 < self.growth_margin < 1:
-            raise ParameterError(f"growth margin must be in (0, 1), got {self.growth_margin}")
+            raise InputError(f"growth margin must be in (0, 1), got {self.growth_margin}")
         if self.floor < 0:
-            raise ParameterError(f"floor must be >= 0, got {self.floor}")
+            raise InputError(f"floor must be >= 0, got {self.floor}")
 
 
 @dataclass
@@ -148,7 +150,7 @@ def auto_size_domain(config: SimulationConfig) -> tuple[float, float]:
     x_left = clamp - 10.0 if config.x_left is None else config.x_left
     x_right = clamp + 20.0 if config.x_right is None else config.x_right
     if x_right <= x_left:
-        raise ParameterError("x_right must exceed x_left")
+        raise InputError("x_right must exceed x_left")
     return x_left, x_right
 
 
@@ -199,10 +201,7 @@ def imex_step(state: SimState, config: SimulationConfig) -> float:
         np.multiply(f_u, config.dt, out=f_u)
         right += f_u[-1]
     mu = config.dt / config.dx ** 2
-    try:
-        new = kernels.theta_step(u, f_u, mu, float(right))
-    except ZeroDivisionError as exc:
-        raise NumericalError("zero pivot in tridiagonal solve") from exc
+    new = kernels.theta_step(u, f_u, mu, float(right))
     lo, hi = float(np.minimum.reduce(new)), float(np.maximum.reduce(new))
     stored = lo
     if lo < 0.0 or hi > 1.0:

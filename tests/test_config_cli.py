@@ -361,6 +361,30 @@ class TestCli:
         assert "level 0.5 is given twice" in capsys.readouterr().err
         assert steps == []
 
+    def test_simulate_empty_levels_exit_two_before_output(self, tmp_path, capsys):
+        # `lambdas =` parses to (): the run used to die in min() with no key
+        # named, after making an empty output directory
+        path = tmp_path / "no_levels.cfg"
+        path.write_text(MINIMAL + "\n[measurement]\nlambdas =\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out_dir)]) == 2
+        assert "lambdas must name at least one level" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key, data", [
+        ("scale", "family = sub_exponential\nbeta = 1.0\nmu = 5.0\nscale = -3\n"),
+        ("mu", "family = algebraic\nbeta = 1.0\nscale = 100.0\nmu = inf\n")],
+        ids=["scale_beside_sub_exponential", "mu_beside_algebraic"])
+    def test_simulate_other_familys_parameter_exit_two(self, key, data, tmp_path, capsys):
+        # the value used to be kept unused, and config_to_text wrote it back
+        text = MINIMAL.replace("family = algebraic\nbeta = 1.0\nscale = 100.0\n", data)
+        path = tmp_path / "other_family.cfg"
+        path.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out_dir)]) == 2
+        assert f"{key} is a parameter of" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         config_path = tmp_path / "tiny.cfg"
         config_path.write_text(MINIMAL.replace("t_end = 8.0",

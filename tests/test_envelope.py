@@ -12,7 +12,7 @@ from frontlab.envelope import (OdeProfile, Regime, SubsolutionParams,
                                ode_envelope, plateau_edge,
                                predict_level_envelope, quadratic_cutoff,
                                subsolution, supersolution)
-from frontlab.errors import DomainError, ParameterError
+from frontlab.errors import InputError
 from frontlab.initial_data import (algebraic, algebraic_raw, eval_u0,
                                    logarithmic, sub_exponential)
 from frontlab.reaction import weakly_monostable
@@ -42,7 +42,7 @@ class TestOdeEnvelope:
     def test_left_of_edge_raises_with_edge(self):
         profile = OdeProfile(1.0, 0.4, SUBEXP)
         edge = plateau_edge(profile, 4.0)
-        with pytest.raises(DomainError, match="left of the saturation edge at t=4.0"):
+        with pytest.raises(InputError, match="left of the saturation edge at t=4.0"):
             ode_envelope(profile, 4.0, 0.5 * edge)
 
     def test_nondecreasing_in_time(self):
@@ -148,7 +148,7 @@ class TestSupersolution:
         family = weakly_monostable(0.4)
         shift = calibrate_supersolution_shift(profile, family, [0.0, 4.0, 8.0], 25.0)
         assert shift >= 1.0
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="supersolution needs rho > r"):
             calibrate_supersolution_shift(OdeProfile(1.0, 0.4, ALG), family,
                                           [0.0], 25.0)  # needs rho > r
 
@@ -196,7 +196,7 @@ class TestSubsolution:
         assert np.all(v <= w)
 
     def test_amplitude_threshold_enforced(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="below admissible threshold 0.5"):
             SubsolutionParams(M=0.4)  # below max(1/(2*1), 1/(4*1)) = 0.5
         SubsolutionParams(M=0.5)  # boundary admissible
 
@@ -205,9 +205,9 @@ class TestSubsolution:
         family = weakly_monostable(0.4)
         params = calibrate_subsolution(profile, family, [0.0, 2.0, 4.0], 30.0)
         assert params.M >= 10.0
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="subsolution needs rho < r"):
             calibrate_subsolution(OdeProfile(1.2, 0.4, ALG), family, [0.0], 30.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="subsolution needs rho > 3r/4"):
             calibrate_subsolution(OdeProfile(0.5, 0.4, ALG), family, [0.0], 30.0)
 
 
@@ -277,7 +277,7 @@ class TestPredictLevelEnvelope:
             assert lo < hi
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="too small: bracket densities leave the tail"):
             predict_level_envelope(0.4, 1.0, ALG, 0.0, 0.0)  # t too small
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match=r"epsilon must be in \[0, r\)"):
             predict_level_envelope(0.4, 1.0, ALG, 1.5, 1.0)  # eps >= r

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontlab.errors import DomainError, ParameterError
+from frontlab.errors import InputError
 from frontlab.initial_data import (Family, InitialDataSpec, algebraic,
                                    algebraic_raw, eval_phi0, eval_u0,
                                    logarithmic, phi0_total, position_at_phi,
@@ -53,14 +53,24 @@ class TestEvalU0:
         assert np.all((u > 0.0) & (u <= 1.0))
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="finite decay rate mu > 0"):
             sub_exponential(mu=0.0, beta=1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="tail exponent beta must be finite and > 0"):
             sub_exponential(mu=5.0, beta=-1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="finite scale > 0"):
             algebraic(beta=1.0, scale=0.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="tail exponent beta must be finite and > 0"):
             InitialDataSpec(Family.LOGARITHMIC, beta=0.0)
+        # each family takes only its own parameter
+        with pytest.raises(InputError, match="mu is a parameter of sub_exponential data"):
+            InitialDataSpec(Family.ALGEBRAIC, 1.0, mu=5.0, scale=100.0)
+        with pytest.raises(InputError, match="scale is a parameter of algebraic data"):
+            InitialDataSpec(Family.SUB_EXPONENTIAL, 1.0, mu=5.0, scale=100.0)
+        for family in (Family.ALGEBRAIC_RAW, Family.LOGARITHMIC):
+            with pytest.raises(InputError, match="mu is a parameter"):
+                InitialDataSpec(family, 1.0, mu=5.0)
+            with pytest.raises(InputError, match="scale is a parameter"):
+                InitialDataSpec(family, 1.0, scale=100.0)
 
 
 class TestEvalPhi0:
@@ -83,11 +93,11 @@ class TestEvalPhi0:
         assert ddphi == pytest.approx(-1.5 * math.exp(-4.0), rel=1e-14)
 
     def test_clamped_region_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="x=0.0 is not in the strict tail"):
             eval_phi0(sub_exponential(mu=5.0, beta=1.0), 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="x=2.0 is not in the strict tail"):
             eval_phi0(logarithmic(beta=2.0), 2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="x=0.5 is not in the strict tail"):
             eval_phi0(algebraic_raw(beta=1.0), np.array([2.0, 0.5]))
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -133,7 +143,7 @@ class TestU0Inverse:
         # a density above 1 has a negative log transform
         spec = sub_exponential(mu=5.0, beta=1.0)
         for z in (1.0 + 1e-9, 1.5):
-            with pytest.raises(DomainError):
+            with pytest.raises(InputError, match="log-transform value must be >= 0"):
                 u0_position(spec, z)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)

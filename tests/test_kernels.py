@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frontlab import kernels
-from frontlab.errors import NumericalError
+from frontlab.errors import SolverError
 
 
 def tridiagonal_solve(lower, diag, upper, rhs):
@@ -221,7 +221,7 @@ class TestThetaStep:
 
     def test_too_small_mu_reported(self):
         # a coefficient below 2**-600 leaves no room for a row
-        with pytest.raises(NumericalError):
+        with pytest.raises(SolverError, match="too small for a row of the scan"):
             kernels.theta_step(np.ones(10), None, 1e-300, 1.0)
 
     def test_each_size_gets_its_own_factor(self):

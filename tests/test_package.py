@@ -26,10 +26,27 @@ def test_deleted_names_not_exported():
         assert not hasattr(frontlab, name), name
 
 
+DELETED_ERRORS = ("EnvelopeDomainError", "DomainError", "ParameterError",
+                  "BelowLevelError", "FrontExitedDomainError", "OffsetError",
+                  "AnalysisError", "CalibrationError", "NumericalError")
+
+
 def test_deleted_module_names_gone():
-    for module, name in ((errors, "EnvelopeDomainError"), (reaction, "BoundViolation"),
-                         (reaction, "log_sample_grid")):
+    for module, name in ((reaction, "BoundViolation"), (reaction, "log_sample_grid"),
+                         *((errors, name) for name in DELETED_ERRORS)):
         assert not hasattr(module, name), name
+
+
+def test_one_error_class_per_exit_code():
+    # exit 2 for a ValueError, 3 for any other FrontlabError
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    assert defined == {"FrontlabError", "InputError", "ConfigError", "SolverError"}
+    for cls in (errors.InputError, errors.ConfigError, errors.SolverError):
+        assert issubclass(cls, errors.FrontlabError), cls.__name__
+    assert issubclass(errors.InputError, ValueError)
+    assert issubclass(errors.ConfigError, ValueError)
+    assert not issubclass(errors.SolverError, ValueError)
 
 
 def test_scalar_module_gone():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frontlab.errors import DomainError, InputError, ParameterError
+from frontlab.errors import InputError
 from frontlab.reaction import (UNDERFLOW_CUTOFF, ReactionKind,
                                ReactionParams, allee,
                                compare_families_near_zero, eval_f, kpp,
@@ -61,11 +61,11 @@ class TestEvalF:
 
     def test_domain_errors(self):
         wm = weakly_monostable(0.4)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match=r"state value -0.1 outside \[0, 1\]"):
             eval_f(wm, -0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match=r"state value 1.1 outside \[0, 1\]"):
             eval_f(wm, 1.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match=r"state value 2.0 outside \[0, 1\]"):
             eval_f(wm, np.array([0.5, 2.0]))
 
     def test_array_matches_scalar(self):
@@ -126,9 +126,9 @@ class TestEvalF:
         assert eval_f(family, s, lo).tobytes() == eval_f(family, s).tobytes()
 
     def test_params_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="growth rate r must be finite and > 0"):
             ReactionParams(r=0.0, alpha=0.4)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="exponent alpha must be finite and > 0"):
             ReactionParams(r=1.0, alpha=0.0)
 
 

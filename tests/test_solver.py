@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frontlab import kernels, reaction, solver
-from frontlab.errors import DomainError, InputError, ParameterError, SolverError
+from frontlab.errors import InputError, SolverError
 from frontlab.initial_data import algebraic, algebraic_raw, eval_u0, sub_exponential
 from frontlab.measurement import extract_level_position
 from frontlab.reaction import eval_f, weakly_monostable
@@ -37,42 +37,47 @@ def make_config(**overrides):
 
 class TestConfigValidation:
     def test_positivity(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="dx must be > 0"):
             make_config(dx=0.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="dt must be > 0"):
             make_config(dt=-0.1)
 
+    def test_empty_levels_rejected(self):
+        # no level to track: the run used to fail in min() on the first step
+        with pytest.raises(InputError, match="lambdas must name at least one level"):
+            make_config(lambdas=())
+
     def test_levels_inside_unit_interval(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match=r"levels must lie in \(0, 1\)"):
             make_config(lambdas=(0.5, 1.0))
 
     def test_snapshots_sorted_within_range(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="snapshot times must be increasing"):
             make_config(snapshot_times=(2.0, 1.0), t_end=3.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match=r"snapshot times must lie in \[0, t_end\]"):
             make_config(snapshot_times=(5.0,), t_end=3.0)
 
     def test_repeated_level_rejected(self):
         # accepted before, it failed after the whole run, when its trace
         # times were no longer strictly increasing
-        with pytest.raises(ParameterError, match="level 0.5 is given twice"):
+        with pytest.raises(InputError, match="level 0.5 is given twice"):
             make_config(lambdas=(0.5, 0.1, 0.5))
 
     def test_snapshot_times_on_one_step_rejected(self):
         # at dt = 0.1, 0.12 would round to step 1 as 0.1 does: the state at
         # t = 0.1 would be written twice, once labelled 0.12.  Off the step
         # grid, 0.12 is rejected by name; a repeated time is one step twice
-        with pytest.raises(ParameterError,
+        with pytest.raises(InputError,
                            match="time 0.12 is not a whole number of steps of dt = 0.1"):
             make_config(snapshot_times=(0.1, 0.12, 0.3), dt=0.1)
-        with pytest.raises(ParameterError, match="increasing"):
+        with pytest.raises(InputError, match="increasing"):
             make_config(snapshot_times=(0.1, 0.1, 0.3), dt=0.1)
         make_config(snapshot_times=(0.1, 0.2, 0.3), dt=0.1)
 
     def test_t_end_off_the_step_grid_rejected(self):
         # 2.5 steps: the run would stop at t = 0.2 (round(2.5) is 2) and
         # label its horizon 0.25
-        with pytest.raises(ParameterError,
+        with pytest.raises(InputError,
                            match="time 0.25 is not a whole number of steps of dt = 0.1"):
             make_config(dt=0.1, t_end=0.25)
 
@@ -82,7 +87,7 @@ class TestConfigValidation:
         # 3000 steps) is rejected
         make_config(dt=0.01, t_end=30.0, snapshot_times=(0.07, 2.5, 30.0))
         make_config(dt=0.1, t_end=0.3, snapshot_times=(0.3,))
-        with pytest.raises(ParameterError, match="not a whole number"):
+        with pytest.raises(InputError, match="not a whole number"):
             make_config(dt=0.01, t_end=30.0 + 1e-6)
 
 
@@ -104,7 +109,7 @@ class TestAutoSizeDomain:
             assert auto_size_domain(cfg) == (clamp - 10.0, clamp + 20.0)
 
     def test_explicit_bounds_must_be_ordered(self):
-        with pytest.raises(ParameterError, match="x_right must exceed x_left"):
+        with pytest.raises(InputError, match="x_right must exceed x_left"):
             auto_size_domain(make_config(x_left=25.0, x_right=None))
 
     def test_left_bound_clears_clamp_point(self):
@@ -263,7 +268,7 @@ class TestStoredMinimum:
         cfg = make_config()
         values = initialize_state(cfg).values
         values[300] = bad
-        with pytest.raises(DomainError, match="outside"):
+        with pytest.raises(InputError, match="outside"):
             run(cfg, initial_values=values)
 
     def test_replaced_values_are_checked(self):
@@ -272,7 +277,7 @@ class TestStoredMinimum:
         imex_step(state, cfg)
         state.values = state.values.copy()
         state.values[10] = 1.5
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match=r"state value 1.5 outside \[0, 1\]"):
             imex_step(state, cfg)
 
 
@@ -395,7 +400,7 @@ class TestGrowthDecision:
 
     def test_a_step_that_lifts_the_last_cell_restarts(self, monkeypatch):
         # a step that leaves the last cell at the level: the extraction would
-        # raise FrontExitedDomainError; the run restarts on twice the width
+        # report that the front left the domain; the run restarts on twice the width
         real = solver.imex_step
         calls = []
 
