@@ -6,7 +6,8 @@ Subcommands:
     verify <subject>                hypothesis | envelope | sandwich | convergence
     classify --alpha A --family F --beta B
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
+Exit codes: 0 success, 1 verification failure, 2 configuration error (an
+unreadable config or an output directory that cannot be made included),
 3 runtime/numerical error, or a run that stopped truncated or reported clamp
 events (its bundle is still written).
 """
@@ -57,13 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    config = parse_config(text)
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = parse_config(fh.read())
     out_dir = args.out or os.path.splitext(os.path.basename(args.config))[0]
     result = presets.run_bundle(config, out_dir, "simulation")
     diag = result.diagnostics
@@ -116,7 +112,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_classify(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an unreadable config or an output directory that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FrontlabError as exc:

@@ -5,10 +5,10 @@
 level traces, rate fits and a gnuplot script.  Simulation presets
 (fig3a..fig5d sub-exponential sweeps, fig6a..fig8c algebraic sweeps) expand
 to full ``SimulationConfig`` objects and go through it; figure-level names
-(fig3..fig8) run all their panels.  fig1 tabulates the three reaction
-families near zero, fig2 prints the regime classification table, and fig9
-reproduces the three-trace level-set comparison with its literature-fit
-overlay curves.
+(fig3..fig9) run all their panels.  fig1 tabulates the three reaction
+families near zero, fig2 prints the regime classification table, and fig9's
+three panels (fig9a..fig9c) get a figure-level plot that overlays their
+level-set traces with the literature-fit curves.
 """
 
 from __future__ import annotations
@@ -110,25 +110,26 @@ def _build_presets() -> dict[str, Preset]:
                               f"all algebraic panels at alpha={alpha}",
                               members=tuple(members))
 
+    # horizons reach past the traveling-front transient so the three rate
+    # laws actually separate
+    fig9_tails = (("bounded sub-exponential", sub_exponential(mu=5.0, beta=1.0), 30.0),
+                  ("light sub-exponential", sub_exponential(mu=5.0, beta=0.2), 30.0),
+                  ("algebraic", algebraic(beta=1.0, scale=100.0), 20.0))
+    members = []
+    for panel, (tail, data, t_end) in zip("abc", fig9_tails):
+        name = f"fig9{panel}"
+        presets[name] = Preset(
+            name, "fig9", f"{tail} tail, alpha=0.4, beta={data.beta}",
+            config=_sim_config(0.4, data, t_end, snapshot_times=(t_end / 2, t_end)))
+        members.append(name)
     presets["fig9"] = Preset(
         "fig9", "fig9",
-        "level-set comparison: bounded / sub-exponential / algebraic tails at alpha=0.4")
+        "level-set comparison: bounded / sub-exponential / algebraic tails at alpha=0.4",
+        members=tuple(members))
     return presets
 
 
 PRESETS = _build_presets()
-
-# three runs behind fig9; keys double as trace labels.  Horizons reach past
-# the traveling-front transient so the three rate laws actually separate.
-FIG9_RUNS = {
-    "subexp_bounded": _sim_config(0.4, sub_exponential(mu=5.0, beta=1.0),
-                                  t_end=30.0, snapshot_times=(15.0, 30.0)),
-    "subexp_light": _sim_config(0.4, sub_exponential(mu=5.0, beta=0.2),
-                                t_end=30.0, snapshot_times=(15.0, 30.0)),
-    "algebraic": _sim_config(0.4, algebraic(beta=1.0, scale=100.0),
-                             t_end=20.0, snapshot_times=(10.0, 20.0)),
-}
-
 
 def available_presets() -> list[str]:
     return sorted(PRESETS)
@@ -139,23 +140,6 @@ def get_preset(name: str) -> Preset:
         raise InputError(
             f"unknown preset {name!r}; available: {', '.join(available_presets())}")
     return PRESETS[name]
-
-
-def _fit_and_log(trace, alpha: float, r: float, predicted: Regime, prefix: str,
-                 log) -> tuple | None:
-    """Select the rate model of ``trace`` and log it against ``predicted``.
-
-    Returns (fit, measured regime name) for fits.txt, or None, logged as
-    skipped, when no rate model fits the trace.
-    """
-    try:
-        fit, regime = select_model(trace, alpha, r)
-    except InputError as exc:
-        log(f"{prefix} fit skipped ({exc})")
-        return None
-    log(f"{prefix} fitted {fit.model} (headline {fit.exponent:.4g}), "
-        f"measured {regime.value}, predicted {predicted.value}")
-    return fit, regime.value
 
 
 def run_bundle(config: SimulationConfig, out_dir: str, title: str,
@@ -175,9 +159,14 @@ def run_bundle(config: SimulationConfig, out_dir: str, title: str,
     predicted = classify_regime(alpha, config.data).regime
     entries = []
     for lam, trace in sorted(result.traces.items()):
-        selected = _fit_and_log(trace, alpha, r, predicted, f"lambda={lam}:", log)
-        if selected is not None:
-            entries.append((f"lambda_{lam!r}", *selected))
+        try:
+            fit, regime = select_model(trace, alpha, r)
+        except InputError as exc:
+            log(f"lambda={lam}: fit skipped ({exc})")
+            continue
+        log(f"lambda={lam}: fitted {fit.model} (headline {fit.exponent:.4g}), "
+            f"measured {regime.value}, predicted {predicted.value}")
+        entries.append((f"lambda_{lam!r}", fit, regime.value))
     reporting.write_fit_report(os.path.join(out_dir, "fits.txt"), entries)
     with open(os.path.join(out_dir, "plot.gp"), "w", encoding="ascii") as fh:
         fh.write(reporting.snapshot_plot_script("snapshots.csv", title))
@@ -224,22 +213,8 @@ def _run_fig2(out_dir: str, log) -> None:
                               "alpha,beta,regime,power_exponent,threshold_beta", rows)
 
 
-def _run_fig9(out_dir: str, log) -> list[tuple[str, Diagnostics]]:
-    alpha, r = 0.4, 1.0
-    trace_files = []
-    entries = []
-    runs = []
-    for label, config in FIG9_RUNS.items():
-        result = run(config)
-        runs.append((f"fig9:{label}", result.diagnostics))
-        trace = result.traces[LAMBDA]
-        name = f"trace_{label}.csv"
-        reporting.write_trace_csv(os.path.join(out_dir, name), trace)
-        trace_files.append(name)
-        predicted = classify_regime(alpha, config.data).regime
-        selected = _fit_and_log(trace, alpha, r, predicted, f"fig9: {label}", log)
-        if selected is not None:
-            entries.append((label, *selected))
+def _plot_fig9(out_dir: str, members: tuple[str, ...]) -> None:
+    trace_files = [f"{member}/{reporting.trace_filename(LAMBDA)}" for member in members]
     overlay_files = []
     for label, curve in FIG9_CURVES.items():
         # evaluate each overlay on the longest trace's time range
@@ -247,12 +222,10 @@ def _run_fig9(out_dir: str, log) -> list[tuple[str, Diagnostics]]:
         name = f"{label}.csv"
         reporting.write_table_csv(os.path.join(out_dir, name), "t,x", zip(t, curve(t)))
         overlay_files.append(name)
-    reporting.write_fit_report(os.path.join(out_dir, "fits.txt"), entries)
     with open(os.path.join(out_dir, "plot.gp"), "w", encoding="ascii") as fh:
         fh.write(reporting.trace_plot_script(
             trace_files, "level-set positions, three tail families",
             overlay_files=overlay_files))
-    return runs
 
 
 def run_preset(name: str, out_root: str = ".",
@@ -260,7 +233,8 @@ def run_preset(name: str, out_root: str = ".",
     """Execute a preset and write its artifact bundle under ``out_root/name/``.
 
     Returns the output directory and the (name, diagnostics) of every
-    simulation it ran.  Figure-level sweep names run every panel.
+    simulation it ran.  Figure-level sweep names run every panel; fig9 then
+    writes the overlay curves and a plot of its panels' traces.
     """
     preset = get_preset(name)
     out_dir = os.path.join(out_root, preset.name)
@@ -269,12 +243,12 @@ def run_preset(name: str, out_root: str = ".",
     if preset.members:
         for member in preset.members:
             runs += run_preset(member, out_root=out_dir, log=log)[1]
+        if preset.name == "fig9":
+            _plot_fig9(out_dir, preset.members)
     elif preset.name == "fig1":
         _run_fig1(out_dir, log)
     elif preset.name == "fig2":
         _run_fig2(out_dir, log)
-    elif preset.name == "fig9":
-        runs = _run_fig9(out_dir, log)
     else:
         result = run_bundle(preset.config, out_dir, preset.description,
                             log=lambda msg: log(f"{preset.name}: {msg}"))

@@ -1,7 +1,5 @@
 """Configuration parsing, round trips, and the command-line interface."""
 
-from dataclasses import replace
-
 import pytest
 
 from frontlab import presets, solver
@@ -189,6 +187,26 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "fig2" / "classification.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "preset"])
+    def test_uncreatable_out_dir_exit_two(self, command, tmp_path, capsys):
+        # --out below a regular file: os.makedirs raises NotADirectoryError
+        config_path = tmp_path / "tiny.cfg"
+        config_path.write_text(MINIMAL)
+        target = str(config_path) if command == "simulate" else "fig2"
+        code = main([command, target, "--out", str(config_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_simulate_unreadable_config_exit_two(self, tmp_path, capsys):
+        code = main(["simulate", str(tmp_path / "missing.cfg"),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "missing.cfg" in err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
         config_path = tmp_path / "tiny.cfg"
         config_path.write_text(MINIMAL.replace("t_end = 8.0",
@@ -258,15 +276,6 @@ class TestCli:
         assert "TRUNCATED: narrowa" in capsys.readouterr().out
         assert (tmp_path / "narrow" / "narrowa" / "snapshots.csv").exists()
 
-    def test_preset_truncated_fig9_run_exit_three(self, tmp_path, capsys, monkeypatch):
-        narrow = {label: replace(cfg, t_end=2.0, snapshot_times=(), x_left=-2.0,
-                                 x_right=3.0, growth_margin=None)
-                  for label, cfg in presets.FIG9_RUNS.items()}
-        monkeypatch.setattr(presets, "FIG9_RUNS", narrow)
-        assert main(["preset", "fig9", "--out", str(tmp_path)]) == 3
-        out = capsys.readouterr().out
-        assert "TRUNCATED: " + ", ".join(f"fig9:{label}" for label in narrow) in out
-
     def test_simulate_clamped_exit_three(self, tmp_path, capsys):
         config_path = tmp_path / "clamping.cfg"
         config_path.write_text(config_to_text(CLAMPING))
@@ -284,14 +293,6 @@ class TestCli:
         assert main(["preset", "clamp", "--out", str(tmp_path)]) == 3
         out = capsys.readouterr().out
         assert "CLAMPED: clampa" in out and "TRUNCATED" not in out
-
-    def test_preset_clamped_fig9_run_exit_three(self, tmp_path, capsys, monkeypatch):
-        clamping = {label: replace(CLAMPING, data=cfg.data)
-                    for label, cfg in presets.FIG9_RUNS.items()}
-        monkeypatch.setattr(presets, "FIG9_RUNS", clamping)
-        assert main(["preset", "fig9", "--out", str(tmp_path)]) == 3
-        out = capsys.readouterr().out
-        assert "CLAMPED: " + ", ".join(f"fig9:{label}" for label in clamping) in out
 
     @pytest.mark.parametrize("field, value", [
         ("t_end", "inf"), ("t_end", "nan"), ("x_right", "inf"), ("x_left", "-inf"),

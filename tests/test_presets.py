@@ -5,11 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from frontlab import presets
 from frontlab.envelope import Regime, classify_regime
 from frontlab.errors import InputError
-from frontlab.initial_data import sub_exponential
-from frontlab.presets import (FIG9_CURVES, FIG9_RUNS, PRESETS, _subexp_panel,
+from frontlab.initial_data import Family, sub_exponential
+from frontlab.presets import (FIG9_CURVES, PRESETS, _subexp_panel,
                               available_presets, get_preset, run_bundle,
                               run_preset)
 from frontlab.reaction import weakly_monostable
@@ -64,11 +63,15 @@ class TestCatalog:
             assert (regime is Regime.FINITE_SPEED) == (t_end == 30.0)
             assert _subexp_panel(alpha, beta).t_end == t_end
 
-    def test_fig9_runs_match_published_settings(self):
-        assert set(FIG9_RUNS) == {"subexp_bounded", "subexp_light", "algebraic"}
-        assert FIG9_RUNS["subexp_bounded"].t_end == 30.0
-        assert FIG9_RUNS["algebraic"].data.scale == 100.0
-        for cfg in FIG9_RUNS.values():
+    def test_fig9_panels_match_published_settings(self):
+        assert PRESETS["fig9"].members == ("fig9a", "fig9b", "fig9c")
+        configs = [get_preset(name).config for name in PRESETS["fig9"].members]
+        assert [cfg.data.family for cfg in configs] == [
+            Family.SUB_EXPONENTIAL, Family.SUB_EXPONENTIAL, Family.ALGEBRAIC]
+        assert [cfg.data.beta for cfg in configs] == [1.0, 0.2, 1.0]
+        assert [cfg.t_end for cfg in configs] == [30.0, 30.0, 20.0]
+        assert configs[2].data.scale == 100.0
+        for cfg in configs:
             assert cfg.reaction.params.alpha == 0.4
             assert cfg.lambdas == (0.5,)
 
@@ -141,18 +144,25 @@ class TestRunBundle:
         assert [msg.split(":")[0] for msg in messages] == ["lambda=0.1", "lambda=0.5"]
         assert "np." not in (tmp_path / "plot.gp").read_text()
 
-    def test_fig9_failed_fits_skipped_and_logged(self, tmp_path, monkeypatch):
-        # t_end = 0.1 leaves too few samples for any rate model in every run
-        short = {label: replace(cfg, t_end=0.1, snapshot_times=())
-                 for label, cfg in FIG9_RUNS.items()}
-        monkeypatch.setattr(presets, "FIG9_RUNS", short)
+    def test_fig9_writes_panel_bundles_and_overlay_plot(self, tmp_path, monkeypatch):
+        # t_end = 0.1 leaves too few samples for any rate model in every panel
+        members = PRESETS["fig9"].members
+        for name in members:
+            preset = PRESETS[name]
+            monkeypatch.setitem(PRESETS, name, replace(
+                preset, config=replace(preset.config, t_end=0.1, snapshot_times=(0.1,))))
         messages = []
         run_preset("fig9", out_root=str(tmp_path), log=messages.append)
-        assert messages == [f"fig9: {label} fit skipped (no rate model could be "
-                            f"fitted to the trace)" for label in short]
+        assert messages == [f"{name}: lambda=0.5: fit skipped (no rate model could be "
+                            f"fitted to the trace)" for name in members]
         out = tmp_path / "fig9"
-        assert (out / "fits.txt").read_text() == ""
-        names = ([f"trace_{label}.csv" for label in short]
-                 + [f"{label}.csv" for label in FIG9_CURVES] + ["plot.gp"])
-        for name in names:
-            assert (out / name).exists(), name
+        for name in members:
+            for file in ("snapshots.csv", "trace_lambda_0.5.csv", "fits.txt", "plot.gp"):
+                assert (out / name / file).exists(), (name, file)
+        for label in FIG9_CURVES:
+            assert (out / f"{label}.csv").read_text().splitlines()[0] == "t,x"
+        plot = (out / "plot.gp").read_text()
+        for name in members:
+            assert f"'{name}/trace_lambda_0.5.csv'" in plot
+        for label in FIG9_CURVES:
+            assert f"'{label}.csv'" in plot
