@@ -16,8 +16,8 @@ from .initial_data import (Family, InitialDataSpec, algebraic, algebraic_raw,
                            eval_phi0, eval_u0, logarithmic, sub_exponential)
 from .measurement import (FitResult, LevelSetTrace, extract_level_position,
                           fit_exp_power, fit_linear, fit_power, select_model)
-from .reaction import (ReactionFamily, ReactionKind, ReactionParams, allee,
-                       compare_families_near_zero, eval_f, kpp,
+from .reaction import (ReactionFamily, ReactionParams,
+                       compare_families_near_zero, eval_f,
                        verify_hypothesis_bounds, weakly_monostable)
 from .solver import (SimState, SimulationConfig, auto_size_domain, imex_step,
                      maybe_grow_domain, run)
@@ -26,13 +26,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Family", "FitResult", "InitialDataSpec", "LevelSetTrace", "OdeProfile",
-    "ReactionFamily", "ReactionKind", "ReactionParams", "Regime",
+    "ReactionFamily", "ReactionParams", "Regime",
     "RegimeClassification", "SimState", "SimulationConfig",
     "SubsolutionParams", "algebraic", "algebraic_raw",
-    "allee", "auto_size_domain", "classify_regime",
+    "auto_size_domain", "classify_regime",
     "compare_families_near_zero", "envelope_derivatives", "eval_f",
     "eval_phi0", "eval_u0", "extract_level_position", "fit_exp_power",
-    "fit_linear", "fit_power", "imex_step", "kpp", "logarithmic",
+    "fit_linear", "fit_power", "imex_step", "logarithmic",
     "maybe_grow_domain", "ode_envelope", "plateau_edge",
     "predict_level_envelope", "run", "select_model",
     "sub_exponential", "subsolution", "supersolution",

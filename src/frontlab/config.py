@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from .errors import ConfigError, FrontlabError
 from .initial_data import ALGEBRAIC_SCALE, Family, InitialDataSpec
-from .reaction import ReactionFamily, ReactionKind, ReactionParams
+from .reaction import ReactionFamily, ReactionParams
 from .solver import SimulationConfig
 
 _SECTIONS = {
-    "reaction": {"family", "r", "alpha"},
+    "reaction": {"r", "alpha"},
     "initial_data": {"family", "beta", "mu", "scale"},
     "grid": {"dx", "x_left", "x_right", "growth", "growth_margin", "floor"},
     "time": {"dt", "t_end", "snapshot_times"},
@@ -105,14 +105,12 @@ def parse_config(text: str) -> SimulationConfig:
     """Parse a configuration document into a validated ``SimulationConfig``."""
     entries = _parse_lines(text)
 
-    rkind = _get(entries, "reaction", "family",
-                 lambda v: ReactionKind(v.lower()), ReactionKind.WEAKLY_MONOSTABLE)
     try:
         params = ReactionParams(**_present(
             r=_get(entries, "reaction", "r", float),
             alpha=_get(entries, "reaction", "alpha", float),
         ))
-        reaction = ReactionFamily(rkind, params)
+        reaction = ReactionFamily(params)
 
         dkind = _get(entries, "initial_data", "family", lambda v: Family(v.lower()))
         data = InitialDataSpec(
@@ -161,7 +159,6 @@ def config_to_text(config: SimulationConfig) -> str:
     d = config.data
     lines = [
         "[reaction]",
-        f"family = {config.reaction.kind.value}",
         f"r = {p.r!r}",
         f"alpha = {p.alpha!r}",
         "",

@@ -5,10 +5,11 @@
 level traces, rate fits and a gnuplot script.  Simulation presets
 (fig3a..fig5d sub-exponential sweeps, fig6a..fig8c algebraic sweeps) expand
 to full ``SimulationConfig`` objects and go through it; figure-level names
-(fig3..fig9) run all their panels.  fig1 tabulates the three reaction
-families near zero, fig2 prints the regime classification table, and fig9's
-three panels (fig9a..fig9c) get a figure-level plot that overlays their
-level-set traces with the literature-fit curves.
+(fig3..fig9) run all their panels.  fig1 tabulates the weakly monostable
+rate near zero beside the closed-form KPP and Allee rates, fig2 prints the
+regime classification table, and fig9's three panels (fig9a..fig9c) get a
+figure-level plot that overlays their level-set traces with the
+literature-fit curves.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def _algebraic_panel(alpha: float, beta: float) -> SimulationConfig:
 def _build_presets() -> dict[str, Preset]:
     presets: dict[str, Preset] = {}
     presets["fig1"] = Preset(
-        "fig1", "fig1", "per-capita comparison of the three reaction families near zero")
+        "fig1", "fig1",
+        "per-capita weakly monostable rate near zero beside the KPP and Allee rates")
     presets["fig2"] = Preset(
         "fig2", "fig2", "spreading-regime classification table over (alpha, beta)")
 

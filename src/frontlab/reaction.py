@@ -1,13 +1,14 @@
-"""Reaction terms for the 1D reaction-diffusion model.
+"""The reaction term of the 1D reaction-diffusion model.
 
-The central family is the weakly monostable one,
+The one reaction the solver evaluates is the weakly monostable rate
 
     f(s) = r * s * (1 - s) / (1 + |ln s|)**alpha,
 
 whose per-capita rate sits between the logistic (KPP) rate r*(1-s) and the
-degenerate Allee rate r*s**alpha*(1-s) near s = 0.  Both reference families
-are provided for comparison plots, and ``verify_hypothesis_bounds`` checks
-an arbitrary vectorised reaction against the two-sided per-capita envelope
+degenerate Allee rate r*s**alpha*(1-s) near s = 0.  Those two appear only
+in closed form, as comparison columns of ``compare_families_near_zero``;
+``verify_hypothesis_bounds`` checks an arbitrary vectorised reaction
+against the two-sided per-capita envelope
 
     r*s*(1 - s)/(1+|ln s|)**alpha <= f(s) <= r*s/(1+|ln s|)**alpha   on (0, 1),
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,12 +28,6 @@ from .errors import InputError
 # Below this, ln(s) is not worth evaluating: the true rate is under 1e-298
 # and the limit value is 0.  Also keeps subnormals out of the power kernel.
 UNDERFLOW_CUTOFF = 1e-300
-
-
-class ReactionKind(Enum):
-    WEAKLY_MONOSTABLE = "weakly_monostable"
-    KPP = "kpp"
-    ALLEE = "allee"
 
 
 @dataclass(frozen=True)
@@ -52,7 +46,8 @@ class ReactionParams:
 
 @dataclass(frozen=True)
 class ReactionFamily:
-    kind: ReactionKind
+    """The weakly monostable reaction with parameters ``params``."""
+
     params: ReactionParams
 
     def __call__(self, s):
@@ -60,46 +55,7 @@ class ReactionFamily:
 
 
 def weakly_monostable(alpha: float, r: float = 1.0) -> ReactionFamily:
-    return ReactionFamily(ReactionKind.WEAKLY_MONOSTABLE, ReactionParams(r, alpha))
-
-
-def kpp(alpha: float, r: float = 1.0) -> ReactionFamily:
-    return ReactionFamily(ReactionKind.KPP, ReactionParams(r, alpha))
-
-
-def allee(alpha: float, r: float = 1.0) -> ReactionFamily:
-    return ReactionFamily(ReactionKind.ALLEE, ReactionParams(r, alpha))
-
-
-def _rate_array(kind: ReactionKind, p: ReactionParams, s: np.ndarray,
-                lo: float) -> np.ndarray:
-    """Reaction rate on a validated 1-D array in [0, 1] whose minimum is ``lo``.
-
-    Each family is one formula over the whole array; the log is taken of s
-    raised to the cutoff, so no log(0) is evaluated.  Cells at or below
-    ``UNDERFLOW_CUTOFF`` are set to 0 afterwards, when ``lo`` shows any.
-    """
-    if kind is ReactionKind.KPP:
-        return p.r * s * (1.0 - s)
-    if kind is ReactionKind.WEAKLY_MONOSTABLE:
-        # r*s*(1 - s) / (1 - ln s)**alpha, operation by operation in two
-        # arrays; |ln s| = -ln s on (0, 1], and at s = 1 the factor (1 - s)
-        # gives 0.
-        out = np.multiply(s, p.r)
-        den = np.subtract(1.0, s)
-        out *= den
-        np.maximum(s, UNDERFLOW_CUTOFF, out=den)
-        np.log(den, out=den)
-        np.subtract(1.0, den, out=den)
-        den **= p.alpha
-        out /= den
-    elif kind is ReactionKind.ALLEE:
-        out = p.r * s ** (p.alpha + 1.0) * (1.0 - s)
-    else:  # pragma: no cover - enum is closed
-        raise InputError(f"unknown reaction kind {kind}")
-    if lo <= UNDERFLOW_CUTOFF:
-        out[s <= UNDERFLOW_CUTOFF] = 0.0
-    return out
+    return ReactionFamily(ReactionParams(r, alpha))
 
 
 def eval_f(family: ReactionFamily, s, lo: float | None = None):
@@ -108,7 +64,9 @@ def eval_f(family: ReactionFamily, s, lo: float | None = None):
     Takes and returns arrays; a scalar ``s`` gives a 0-d array.  Raises
     ``InputError`` for values outside [0, 1].  Exactly 0 is returned at
     s = 0 and s = 1 (continuous limits; no logarithm of zero is ever taken).
-    The result is a new array, which the caller may overwrite.
+    The result is a new array, which the caller may overwrite.  The log is
+    taken of s raised to ``UNDERFLOW_CUTOFF``, and cells at or below the
+    cutoff are set to 0 afterwards, when the minimum shows any.
 
     ``lo``, when given, is the caller's promise that ``s`` lies in [0, 1]
     with minimum ``lo`` (the solver knows both from its previous step); the
@@ -125,7 +83,20 @@ def eval_f(family: ReactionFamily, s, lo: float | None = None):
             bad = arr[(arr < 0.0) | (arr > 1.0)].flat[0]
             raise InputError(f"state value {bad} outside [0, 1]")
     # 1-D, as arithmetic on a 0-d array gives numpy scalars, which cannot be masked
-    out = _rate_array(family.kind, family.params, arr.reshape(-1), lo)
+    s1 = arr.reshape(-1)
+    p = family.params
+    # r*s*(1 - s) / (1 - ln s)**alpha, operation by operation in two arrays;
+    # |ln s| = -ln s on (0, 1], and at s = 1 the factor (1 - s) gives 0.
+    out = np.multiply(s1, p.r)
+    den = np.subtract(1.0, s1)
+    out *= den
+    np.maximum(s1, UNDERFLOW_CUTOFF, out=den)
+    np.log(den, out=den)
+    np.subtract(1.0, den, out=den)
+    den **= p.alpha
+    out /= den
+    if lo <= UNDERFLOW_CUTOFF:
+        out[s1 <= UNDERFLOW_CUTOFF] = 0.0
     return out.reshape(arr.shape)
 
 
@@ -172,7 +143,8 @@ def verify_hypothesis_bounds(params: ReactionParams,
 
 @dataclass(frozen=True)
 class FamilyComparison:
-    """Per-capita and absolute rates of the three families on a common grid."""
+    """Per-capita and absolute KPP, weakly monostable and Allee rates on a
+    common grid."""
 
     s: np.ndarray
     percapita_kpp: np.ndarray
@@ -193,15 +165,18 @@ class FamilyComparison:
 def compare_families_near_zero(params: ReactionParams, s_values) -> FamilyComparison:
     """Tabulate KPP / weakly-monostable / Allee rates near s = 0.
 
+    The KPP rate r*s*(1 - s) and the Allee rate r*s**(alpha+1)*(1 - s) are
+    written in closed form; only the weakly monostable one is ``eval_f``'s.
     For every sample in (0, 1) the per-capita ordering KPP >= weak >= Allee
     holds (s*(1+|ln s|) < 1 there); ``ordering_ok`` records the sampled check.
     """
     s = np.asarray(s_values, dtype=float)
-    f_k = eval_f(ReactionFamily(ReactionKind.KPP, params), s)
-    f_w = eval_f(ReactionFamily(ReactionKind.WEAKLY_MONOSTABLE, params), s)
-    f_a = eval_f(ReactionFamily(ReactionKind.ALLEE, params), s)
+    r, alpha = params.r, params.alpha
+    f_k = r * s * (1.0 - s)
+    f_w = eval_f(ReactionFamily(params), s)
+    f_a = r * s ** (alpha + 1.0) * (1.0 - s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pc_k = np.where(s > 0, f_k / s, params.r)
+        pc_k = np.where(s > 0, f_k / s, r)
         pc_w = np.where(s > 0, f_w / s, 0.0)
         pc_a = np.where(s > 0, f_a / s, 0.0)
     ordering = bool(np.all(pc_k >= pc_w) and np.all(pc_w >= pc_a))

@@ -4,7 +4,7 @@ Each suite returns a list of named checks with the measured value and the
 bound it must satisfy; the acceptance tests drive the same functions.
 
 Subjects:
-    hypothesis   two-sided per-capita bounds of the default reaction family
+    hypothesis   two-sided per-capita bounds of the weakly monostable reaction
     envelope     growth-ODE residual and spatial-derivative consistency
     sandwich     numerical solution between calibrated barriers + rate bracket
     convergence  pure-diffusion accuracy against the exact spreading Gaussian
@@ -24,7 +24,7 @@ from .envelope import (OdeProfile, calibrate_subsolution,
 from .errors import InputError
 from .initial_data import algebraic, sub_exponential
 from .presets import PRESETS
-from .reaction import ReactionParams, weakly_monostable, verify_hypothesis_bounds
+from .reaction import weakly_monostable, verify_hypothesis_bounds
 from .solver import SimulationConfig, run
 
 SUBJECTS = ("hypothesis", "envelope", "sandwich", "convergence")
@@ -50,9 +50,8 @@ def verify_hypothesis() -> list[Check]:
     grid = np.geomspace(1e-12, 1.0 - 1e-12, 10_000)
     checks = []
     for alpha in (0.2, 0.4, 0.6):
-        params = ReactionParams(r=1.0, alpha=alpha)
         family = weakly_monostable(alpha=alpha)
-        report = verify_hypothesis_bounds(params, family, grid)
+        report = verify_hypothesis_bounds(family.params, family, grid)
         n_bad = (0 if report.upper_ok else 1) + (0 if report.lower_ok else 1)
         checks.append(Check(f"hypothesis_bounds[alpha={alpha}]", report.passed,
                             measured=float(n_bad), bound=0.0,

@@ -8,7 +8,7 @@ from frontlab.config import config_to_text, parse_config
 from frontlab.errors import ConfigError
 from frontlab.initial_data import Family, InitialDataSpec, algebraic
 from frontlab.presets import PRESETS
-from frontlab.reaction import ReactionFamily, ReactionKind, ReactionParams
+from frontlab.reaction import ReactionFamily, ReactionParams
 from frontlab.solver import SimulationConfig
 
 MINIMAL = """
@@ -31,8 +31,7 @@ t_end = 8.0
 # r = 50 at dt = 0.1: the explicit reaction step overshoots [0, 1] (1623
 # clamp events by t = 1) while the front stays clear of the static edge
 CLAMPING = SimulationConfig(
-    reaction=ReactionFamily(ReactionKind.WEAKLY_MONOSTABLE,
-                            ReactionParams(r=50.0, alpha=0.4)),
+    reaction=ReactionFamily(ReactionParams(r=50.0, alpha=0.4)),
     data=InitialDataSpec(Family.SUB_EXPONENTIAL, 1.0, mu=5.0),
     dx=0.05, dt=0.1, t_end=1.0, x_left=-10.0, x_right=60.0, growth_margin=None)
 
@@ -52,7 +51,7 @@ class TestParseConfig:
     def test_required_keys_only_take_dataclass_defaults(self):
         text = MINIMAL.replace("scale = 100.0\n", "")
         expected = SimulationConfig(
-            ReactionFamily(ReactionKind.WEAKLY_MONOSTABLE, ReactionParams(alpha=0.4)),
+            ReactionFamily(ReactionParams(alpha=0.4)),
             InitialDataSpec(Family.ALGEBRAIC, 1.0, scale=100.0),
             dx=0.05, dt=0.01, t_end=8.0)
         assert parse_config(text) == expected
@@ -64,7 +63,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("section, key", [
         ("time", "theta"), ("measurement", "trace_stride"),
-        ("reaction", "k"), ("reaction", "s0"), ("grid", "cell_cap")])
+        ("reaction", "k"), ("reaction", "s0"), ("grid", "cell_cap"),
+        ("reaction", "family")])
     def test_removed_key_rejected(self, section, key, tmp_path, capsys):
         # a section may open twice, so the key can follow the whole document
         text = MINIMAL + f"\n[{section}]\n{key} = 1\n"
@@ -76,7 +76,7 @@ class TestParseConfig:
         path = tmp_path / "removed.cfg"
         path.write_text(text)
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError):
@@ -264,7 +264,7 @@ class TestCli:
         # a figure whose one panel is a static [-2, 3], too narrow for its
         # front before t = 2: every bundle is written, and the exit is 3
         config = SimulationConfig(
-            reaction=ReactionFamily(ReactionKind.WEAKLY_MONOSTABLE, ReactionParams(alpha=0.4)),
+            reaction=ReactionFamily(ReactionParams(alpha=0.4)),
             data=InitialDataSpec(Family.SUB_EXPONENTIAL, 1.0, mu=5.0),
             dx=0.05, dt=0.01, t_end=2.0, x_left=-2.0, x_right=3.0, growth_margin=None)
         monkeypatch.setitem(presets.PRESETS, "narrowa",

@@ -12,7 +12,7 @@ DELETED = ("TravelingBound", "min_wave_speed", "traveling_bound",
            "traveling_profile", "traveling_residual",
            "calibrate_traveling_speed", "saturation_curvature",
            "shifted_supersolution", "tridiagonal_solve", "thomas_solve",
-           "u0_inverse", "check_growth_conditions")
+           "u0_inverse", "check_growth_conditions", "ReactionKind", "kpp", "allee")
 
 
 def test_every_export_resolves():
@@ -31,8 +31,12 @@ DELETED_ERRORS = ("EnvelopeDomainError", "DomainError", "ParameterError",
                   "AnalysisError", "CalibrationError", "NumericalError")
 
 
+DELETED_REACTION = ("BoundViolation", "log_sample_grid", "ReactionKind", "kpp", "allee",
+                    "_rate_array")
+
+
 def test_deleted_module_names_gone():
-    for module, name in ((reaction, "BoundViolation"), (reaction, "log_sample_grid"),
+    for module, name in (*((reaction, name) for name in DELETED_REACTION),
                          *((errors, name) for name in DELETED_ERRORS)):
         assert not hasattr(module, name), name
 
@@ -69,11 +73,12 @@ SETTINGS = {
     frontlab.SimulationConfig: ("reaction", "data", "dx", "dt", "t_end", "x_left",
                                 "x_right", "snapshot_times", "lambdas",
                                 "growth_margin", "floor"),
+    frontlab.ReactionFamily: ("params",),
     frontlab.ReactionParams: ("r", "alpha"),
     frontlab.SubsolutionParams: ("M",),
 }
 CONFIG_KEYS = {
-    "reaction": {"family", "r", "alpha"},
+    "reaction": {"r", "alpha"},
     "initial_data": {"family", "beta", "mu", "scale"},
     "grid": {"dx", "x_left", "x_right", "growth", "growth_margin", "floor"},
     "time": {"dt", "t_end", "snapshot_times"},

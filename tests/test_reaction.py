@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontlab.errors import InputError
-from frontlab.reaction import (UNDERFLOW_CUTOFF, ReactionKind,
-                               ReactionParams, allee,
-                               compare_families_near_zero, eval_f, kpp,
+from frontlab.reaction import (UNDERFLOW_CUTOFF, ReactionParams,
+                               compare_families_near_zero, eval_f,
                                verify_hypothesis_bounds, weakly_monostable)
 
 # 0, subnormals, the smallest normal, the underflow cutoff and its
@@ -17,30 +16,29 @@ EDGE_VALUES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
                np.nextafter(UNDERFLOW_CUTOFF, 0.0), UNDERFLOW_CUTOFF,
                np.nextafter(UNDERFLOW_CUTOFF, 1.0), 1e-299, 0.5,
                1.0 - 2.0 ** -53, 1.0]
-FAMILIES = (weakly_monostable, kpp, allee)
+# the one reaction; a parameter so that the test ids name it
+FAMILIES = (weakly_monostable,)
 
 
 def masked_rate(family, s):
     """The former evaluation: the rate formula gathered on the cells above
-    the cutoff and scattered back into zeros (no cutoff for KPP)."""
+    the cutoff and scattered back into zeros."""
     p = family.params
-    if family.kind is ReactionKind.KPP:
-        return p.r * s * (1.0 - s)
     out = np.zeros_like(s)
     live = s > UNDERFLOW_CUTOFF
     sv = s[live]
-    if family.kind is ReactionKind.WEAKLY_MONOSTABLE:
-        out[live] = p.r * sv * (1.0 - sv) / (1.0 - np.log(sv)) ** p.alpha
-    else:
-        out[live] = p.r * sv ** (p.alpha + 1.0) * (1.0 - sv)
+    out[live] = p.r * sv * (1.0 - sv) / (1.0 - np.log(sv)) ** p.alpha
     return out
 
 
 class TestEvalF:
     def test_zero_at_endpoints_all_families(self):
-        for family in (weakly_monostable(0.4), kpp(0.4), allee(0.4)):
-            assert eval_f(family, 0.0) == 0.0
-            assert eval_f(family, 1.0) == 0.0
+        assert eval_f(weakly_monostable(0.4), 0.0) == 0.0
+        assert eval_f(weakly_monostable(0.4), 1.0) == 0.0
+        # the closed-form KPP and Allee columns of fig1 as well
+        comp = compare_families_near_zero(ReactionParams(alpha=0.4), np.array([0.0, 1.0]))
+        for f in (comp.f_kpp, comp.f_weak, comp.f_allee):
+            assert f.tolist() == [0.0, 0.0]
 
     def test_weakly_monostable_midpoint(self):
         # 0.25/(1+ln 2)**0.4 evaluated with mpmath at 40 digits
@@ -50,7 +48,6 @@ class TestEvalF:
     def test_underflow_guard_exact_zero(self):
         wm = weakly_monostable(0.4)
         assert eval_f(wm, 1e-300) == 0.0
-        assert eval_f(allee(0.4), 1e-300) == 0.0
         # just above the cutoff: finite, positive, far below 1e-290
         val = eval_f(wm, 1e-299)
         assert 0.0 < val < 1e-290
@@ -92,13 +89,12 @@ class TestEvalF:
     @given(values=st.lists(st.sampled_from(EDGE_VALUES)
                            | st.floats(min_value=0.0, max_value=1.0),
                            min_size=1, max_size=70),
-           make=st.sampled_from(FAMILIES),
            alpha=st.sampled_from([0.4, 0.5]) | st.floats(min_value=0.05, max_value=3.0),
            r=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=300)
-    def test_bitwise_equal_to_masked_formula(self, values, make, alpha, r):
+    def test_bitwise_equal_to_masked_formula(self, values, alpha, r):
         s = np.array(values)
-        family = make(alpha, r=r)
+        family = weakly_monostable(alpha, r=r)
         assert eval_f(family, s).tobytes() == masked_rate(family, s).tobytes()
         assert eval_f(family, values[0]) == masked_rate(family, s[:1])[0]
 
@@ -116,12 +112,11 @@ class TestEvalF:
     @given(values=st.lists(st.sampled_from(EDGE_VALUES)
                            | st.floats(min_value=0.0, max_value=1.0),
                            min_size=1, max_size=70),
-           make=st.sampled_from(FAMILIES),
            alpha=st.floats(min_value=0.05, max_value=3.0))
     @settings(max_examples=200)
-    def test_known_minimum_gives_the_same_bits_anywhere(self, values, make, alpha):
+    def test_known_minimum_gives_the_same_bits_anywhere(self, values, alpha):
         s = np.array(values)
-        family = make(alpha)
+        family = weakly_monostable(alpha)
         lo = float(s.min())
         assert eval_f(family, s, lo).tobytes() == eval_f(family, s).tobytes()
 
@@ -159,20 +154,6 @@ class TestPercapitaDefectIdentity:
         upper = r * s / d
         lhs = eval_f(weakly_monostable(alpha), s) + r * s * s / d
         assert np.all(np.abs(lhs - upper) <= 2.0 * np.spacing(upper))
-
-
-class TestKppSymmetry:
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    def test_symmetric(self, s):
-        family = kpp(0.4, r=1.7)
-        assert eval_f(family, s) == pytest.approx(eval_f(family, 1.0 - s),
-                                                  rel=1e-12, abs=1e-15)
-
-    def test_symmetric_exact_on_dyadics(self):
-        family = kpp(0.4)
-        for k in range(9):
-            s = k / 8.0
-            assert eval_f(family, s) == eval_f(family, 1.0 - s)
 
 
 class TestAlphaMonotonicity:
