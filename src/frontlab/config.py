@@ -22,11 +22,14 @@ The format is plain sectioned key = value text, e.g.
     lambdas = 0.5
 
 Unknown sections or keys are rejected with their line number; missing
-required keys and invariant violations name the offending key.  Every
+required keys name the key, and an invariant violation names the line of
+every document key its message names.  Every
 ``SimulationConfig`` round-trips losslessly through ``config_to_text``.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import ConfigError, FrontlabError
 from .initial_data import ALGEBRAIC_SCALE, Family, InitialDataSpec
@@ -104,6 +107,7 @@ def _float_list(value: str) -> tuple[float, ...]:
 def parse_config(text: str) -> SimulationConfig:
     """Parse a configuration document into a validated ``SimulationConfig``."""
     entries = _parse_lines(text)
+    lines = {key: lineno for (_, key), (_, lineno) in entries.items()}
 
     try:
         params = ReactionParams(**_present(
@@ -144,7 +148,10 @@ def parse_config(text: str) -> SimulationConfig:
     except ConfigError:
         raise
     except FrontlabError as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+        message = str(exc)
+        where = "".join(f" ({key} at line {lineno})" for key, lineno in lines.items()
+                        if re.search(rf"\b{key}\b", message))
+        raise ConfigError(f"invalid configuration: {message}{where}") from exc
     if entries:  # pragma: no cover - all keys are known per section by now
         (section, key), (_, lineno) = next(iter(entries.items()))
         raise ConfigError(f"unused key {key!r} in [{section}] at line {lineno}")

@@ -39,7 +39,7 @@ class ReactionParams:
 
     def __post_init__(self):
         if not 0 < self.r < math.inf:
-            raise InputError(f"growth rate r must be finite and > 0, got {self.r}")
+            raise InputError(f"reaction rate r must be finite and > 0, got {self.r}")
         if not 0 < self.alpha < math.inf:
             raise InputError(f"exponent alpha must be finite and > 0, got {self.alpha}")
 

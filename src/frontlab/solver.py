@@ -40,13 +40,13 @@ EDGE_SLOPE = 0.05
 CELL_CAP = 4_000_000
 
 
-def _step_of(t: float, dt: float) -> int:
-    """The step that ends at time ``t``; ``InputError`` when ``t`` is not
-    a whole multiple of ``dt``."""
+def _step_of(t: float, dt: float, name: str) -> int:
+    """The step that ends at time ``t``; ``InputError`` naming the field
+    ``name`` when ``t`` is not a whole multiple of ``dt``."""
     steps = t / dt
     k = round(steps)
     if abs(steps - k) > STEP_TOL * abs(k):
-        raise InputError(f"time {t} is not a whole number of steps of dt = {dt}")
+        raise InputError(f"{name} = {t} is not a whole number of steps of dt = {dt}")
     return k
 
 
@@ -100,14 +100,14 @@ class SimulationConfig:
         for i, lam in enumerate(self.lambdas):
             if lam in self.lambdas[:i]:
                 raise InputError(f"level {lam} is given twice")
-        n_steps = _step_of(self.t_end, self.dt)
-        steps = [_step_of(ts, self.dt) for ts in self.snapshot_times]
+        n_steps = _step_of(self.t_end, self.dt, "t_end")
+        steps = [_step_of(ts, self.dt, "snapshot_times") for ts in self.snapshot_times]
         if any(not 0 <= k <= n_steps for k in steps):
-            raise InputError("snapshot times must lie in [0, t_end]")
+            raise InputError("snapshot_times must lie in [0, t_end]")
         if any(later <= earlier for earlier, later in zip(steps, steps[1:])):
-            raise InputError("snapshot times must be increasing")
+            raise InputError("snapshot_times must be increasing")
         if self.growth_margin is not None and not 0 < self.growth_margin < 1:
-            raise InputError(f"growth margin must be in (0, 1), got {self.growth_margin}")
+            raise InputError(f"growth_margin must be in (0, 1), got {self.growth_margin}")
         if self.floor < 0:
             raise InputError(f"floor must be >= 0, got {self.floor}")
 
@@ -290,8 +290,8 @@ def run(config: SimulationConfig,
     if initial_values is not None and config.growth_margin is not None:
         raise InputError("initial values fix the grid: use a static domain")
     state = initialize_state(config, initial_values)
-    n_steps = _step_of(config.t_end, config.dt)
-    snap_steps = {_step_of(ts, config.dt): ts for ts in config.snapshot_times}
+    n_steps = _step_of(config.t_end, config.dt, "t_end")
+    snap_steps = {_step_of(ts, config.dt, "snapshot_times"): ts for ts in config.snapshot_times}
     if config.t_end == 0 and not snap_steps:
         snap_steps[0] = 0.0
     lam_front = min(config.lambdas)

@@ -109,6 +109,18 @@ class TestParseConfig:
             parse_config(text)
         assert str(exc_info.value).startswith(f"bad value for 'dt' at line {line}: ")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("t_end = 8.0", "t_end = inf", "t_end must be finite, got inf (t_end at line 15)"),
+        ("dx = 0.05", "dx = 0", "dx must be > 0, got 0.0 (dx at line 11)"),
+        ("t_end = 8.0", "t_end = 8.0\nsnapshot_times = 4, 2",
+         "snapshot_times must be increasing (snapshot_times at line 16)"),
+    ])
+    def test_invalid_value_names_its_line(self, old, new, message):
+        # the lines of MINIMAL: dx 11, dt 14, t_end 15
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(MINIMAL.replace(old, new))
+        assert str(exc_info.value) == f"invalid configuration: {message}"
+
     def test_comments_and_blank_lines(self):
         text = "# leading comment\n" + MINIMAL.replace(
             "dx = 0.05", "dx = 0.05  # spacing")
@@ -349,7 +361,8 @@ class TestCli:
         path = tmp_path / "off_grid.cfg"
         path.write_text(MINIMAL.replace("t_end = 8.0", "t_end = 8.005"))
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "time 8.005 is not a whole number of steps of dt = 0.01" in capsys.readouterr().err
+        assert ("t_end = 8.005 is not a whole number of steps of dt = 0.01 "
+                "(dt at line 14) (t_end at line 15)") in capsys.readouterr().err
         assert steps == []
 
     def test_simulate_repeated_level_exit_two_before_stepping(self, tmp_path,

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from frontlab.envelope import (OdeProfile, _edge, calibrate_subsolution,
-                               calibrate_supersolution_shift,
+                               calibrate_supersolution_shift, cutoff_edge,
                                predict_level_envelope, subsolution,
                                supersolution)
+from frontlab.measurement import extract_level_position
 from frontlab.presets import PRESETS
 from frontlab.solver import run
 
@@ -99,3 +100,17 @@ def test_half_level_under_upper_barrier_edge(panel):
         print(f"{panel.name} t={snap.t}: x_0.5 = {x_half:.5g} "
               f"under the upper barrier's 0.5 edge {edge:.5g}")
         assert x_half < edge
+
+
+def test_quarter_m_level_past_the_cutoff_edge(panel):
+    # left of its cutoff edge the lower barrier is its plateau 1/(4M)
+    level = 1.0 / (4.0 * panel.sub.M)
+    for snap in panel.result.snapshots:
+        edge = cutoff_edge(panel.sub, panel.low, snap.t)
+        x_level = (f"past x_max = {snap.grid[-1]:.5g}" if snap.values[-1] >= level else
+                   f"{extract_level_position(snap.grid, snap.values, level):.5g}")
+        left = snap.grid <= edge
+        print(f"{panel.name} t={snap.t}: x_1/(4M) = {x_level} (M {panel.sub.M}) "
+              f"against the lower barrier's cutoff edge {edge:.5g}, "
+              f"{int(np.sum(left))} cells at or left of it")
+        assert np.all(snap.values[left] >= level)

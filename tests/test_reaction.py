@@ -121,7 +121,7 @@ class TestEvalF:
         assert eval_f(family, s, lo).tobytes() == eval_f(family, s).tobytes()
 
     def test_params_validation(self):
-        with pytest.raises(InputError, match="growth rate r must be finite and > 0"):
+        with pytest.raises(InputError, match="reaction rate r must be finite and > 0"):
             ReactionParams(r=0.0, alpha=0.4)
         with pytest.raises(InputError, match="exponent alpha must be finite and > 0"):
             ReactionParams(r=1.0, alpha=0.0)

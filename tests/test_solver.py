@@ -52,9 +52,9 @@ class TestConfigValidation:
             make_config(lambdas=(0.5, 1.0))
 
     def test_snapshots_sorted_within_range(self):
-        with pytest.raises(InputError, match="snapshot times must be increasing"):
+        with pytest.raises(InputError, match="snapshot_times must be increasing"):
             make_config(snapshot_times=(2.0, 1.0), t_end=3.0)
-        with pytest.raises(InputError, match=r"snapshot times must lie in \[0, t_end\]"):
+        with pytest.raises(InputError, match=r"snapshot_times must lie in \[0, t_end\]"):
             make_config(snapshot_times=(5.0,), t_end=3.0)
 
     def test_repeated_level_rejected(self):
@@ -68,7 +68,7 @@ class TestConfigValidation:
         # t = 0.1 would be written twice, once labelled 0.12.  Off the step
         # grid, 0.12 is rejected by name; a repeated time is one step twice
         with pytest.raises(InputError,
-                           match="time 0.12 is not a whole number of steps of dt = 0.1"):
+                           match="snapshot_times = 0.12 is not a whole number of steps of dt = 0.1"):
             make_config(snapshot_times=(0.1, 0.12, 0.3), dt=0.1)
         with pytest.raises(InputError, match="increasing"):
             make_config(snapshot_times=(0.1, 0.1, 0.3), dt=0.1)
@@ -78,7 +78,7 @@ class TestConfigValidation:
         # 2.5 steps: the run would stop at t = 0.2 (round(2.5) is 2) and
         # label its horizon 0.25
         with pytest.raises(InputError,
-                           match="time 0.25 is not a whole number of steps of dt = 0.1"):
+                           match="t_end = 0.25 is not a whole number of steps of dt = 0.1"):
             make_config(dt=0.1, t_end=0.25)
 
     def test_step_grid_tolerance(self):
