@@ -341,8 +341,8 @@ def predict_level_envelope(alpha: float, r: float, spec: InitialDataSpec,
     Composes the tail inverse with the rate bracket:
         x_lower = U0(exp(-[(r-eps)*(alpha+1)*t]**(1/(alpha+1)))),
         x_upper = U0(exp(-[(r+eps)*(alpha+1)*t]**(1/(alpha+1)))).
-    Multiplicative constants of the exact statements are taken as 1 and
-    absorbed downstream by fit offsets.
+    Multiplicative constants of the exact statements are taken as 1, so
+    the bracket holds only once t is large enough for them not to matter.
     """
     if not 0 <= epsilon < r:
         raise InputError(f"epsilon must be in [0, r), got {epsilon}")

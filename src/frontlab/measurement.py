@@ -5,11 +5,12 @@ solution through lambda (the supremum of the level set).  Traces of (t, x)
 pairs are fitted against three rate models,
 
     linear:     x = a*t + b
-    power:      x = c*t**p + b
-    exp-power:  x = c*exp(slope * s) + b,   s = (r*(alpha+1)*t)**(1/(alpha+1))
+    power:      x = c*t**p
+    exp-power:  x = c*exp(slope * s),   s = (r*(alpha+1)*t)**(1/(alpha+1))
 
-each linear after its coordinate transform; additive offsets b are nuisance
-parameters scanned over a coarse grid.  ``select_model`` ranks the three by
+each a least-squares line after its coordinate transform, on the last quarter
+of the trace: the power and exp-power exponents are local ones, the slope of
+ln x against ln t or s with no offset.  ``select_model`` ranks the three by
 a common relative-deviation residual with a complexity preference margin.
 """
 
@@ -22,11 +23,6 @@ import numpy as np
 from .envelope import Regime
 from .errors import InputError
 
-# candidate offsets scanned when b is fitted
-OFFSET_GRID_SIZE = 51
-# offsets are scored in blocks of rows of at most this many cells, so the
-# fit's temporaries stay near 2 MB each however long the window
-OFFSET_BLOCK_CELLS = 1 << 18
 # a more complex model must beat a simpler one by this factor to be selected
 COMPLEXITY_MARGIN = 1.10
 
@@ -79,11 +75,11 @@ class LevelSetTrace:
         return LevelSetTrace(self.lam, self.times[m], self.positions[m])
 
     def default_window(self) -> tuple[float, float]:
-        """Last half of the trace; transients are discarded."""
+        """Last quarter of the trace; transients are discarded."""
         if self.times.size == 0:
             raise InputError("an empty trace has no window")
         t0, t1 = float(self.times[0]), float(self.times[-1])
-        return t0 + 0.5 * (t1 - t0), t1
+        return t0 + 0.75 * (t1 - t0), t1
 
 
 @dataclass(frozen=True)
@@ -116,10 +112,10 @@ class FitResult:
         if self.model == "linear":
             return c["a"] * t + c["b"]
         if self.model == "power":
-            return c["c"] * t ** c["p"] + c["b"]
+            return c["c"] * t ** c["p"]
         a1 = c["alpha"] + 1.0
         s = (c["r"] * a1 * t) ** (1.0 / a1)
-        return c["c"] * np.exp(c["slope"] * s) + c["b"]
+        return c["c"] * np.exp(c["slope"] * s)
 
 
 def _windowed(trace: LevelSetTrace, window):
@@ -134,86 +130,56 @@ def _windowed(trace: LevelSetTrace, window):
 
 
 def _ols(u, y):
-    """Least squares y = slope*u + intercept for every row of ``y``.
-
-    The closed form with u centred on its mean, for all rows in one pass.
-    Returns per-row arrays: slope, intercept, rms residual and r^2.
-    """
-    u_mean = u.mean()
-    du = u - u_mean
-    y_mean = y.mean(axis=1)
-    dy = y - y_mean[:, None]
-    slope = (dy @ du) / (du @ du)
-    intercept = y_mean - slope * u_mean
-    resid = y - (slope[:, None] * u + intercept[:, None])
-    ss_res = (resid ** 2).sum(axis=1)
-    ss_tot = (dy ** 2).sum(axis=1)
-    # r^2 is 1 for a constant row
-    r2 = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_res), where=ss_tot > 0)
-    return slope, intercept, np.sqrt(ss_res / u.size), r2
+    """Least squares y = slope*u + intercept, in closed form with u centred
+    on its mean.  Returns slope, intercept, rms residual and r^2."""
+    u_mean, y_mean = u.mean(), y.mean()
+    du, dy = u - u_mean, y - y_mean
+    slope = float(dy @ du / (du @ du))
+    intercept = float(y_mean - slope * u_mean)
+    ss_res = float(np.sum((y - (slope * u + intercept)) ** 2))
+    ss_tot = float(np.sum(dy ** 2))
+    # r^2 is 1 for a constant y
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, float(np.sqrt(ss_res / u.size)), r2
 
 
 def fit_linear(trace: LevelSetTrace, window=None) -> FitResult:
     """Ordinary least squares x = a*t + b on the window."""
     t, x, win = _windowed(trace, window)
-    a, b, rms, r2 = (float(v[0]) for v in _ols(t, x[None]))
+    a, b, rms, r2 = _ols(t, x)
     return FitResult("linear", {"a": a, "b": b}, win, rms, r2)
 
 
-def _fit_transformed(u, x, offset, model, win, extra):
-    """Regress ln(x - b) on ``u`` for each candidate offset b and keep the
-    first with the smallest residual.
-
-    ``offset`` fixes b; None scores all ``OFFSET_GRID_SIZE`` candidates
-    spanning [0, min x), which keep x - b positive, as (rows, N) arrays of
-    at most ``OFFSET_BLOCK_CELLS`` cells: all 51 rows in one pass for
-    windows up to 5140 samples.
-    """
-    if offset is None:
-        top = float(np.min(x))
-        if top <= 0:
-            raise InputError("window contains nonpositive positions; fix an offset")
-        offsets = np.linspace(0.0, top, OFFSET_GRID_SIZE, endpoint=False)
-    else:
-        offsets = np.array([float(offset)])
-        if np.any(x - offsets[0] <= 0):
-            raise InputError(f"offset {offsets[0]} makes x - b nonpositive in the window")
-    rows = max(1, OFFSET_BLOCK_CELLS // x.size)
-    blocks = [_ols(u, np.log(x - offsets[i:i + rows, None]))
-              for i in range(0, offsets.size, rows)]
-    slope, intercept, rms, r2 = (np.concatenate(parts) for parts in zip(*blocks))
-    k = int(np.argmin(rms))  # the first of equal minima
-    c = float(np.exp(intercept[k]))
-    b = float(offsets[k])
-    if model == "power":
-        coeffs = {"c": c, "p": float(slope[k]), "b": b}
-    else:
-        coeffs = {"c": c, "slope": float(slope[k]), "b": b, **extra}
-    return FitResult(model, coeffs, win, float(rms[k]), float(r2[k]))
+def _fit_log(u, x, win, model, key, extra):
+    """Regress ln x on ``u``: the slope is the coefficient ``key``, the
+    intercept ln c."""
+    if np.any(x <= 0):
+        raise InputError("window contains nonpositive positions")
+    slope, intercept, rms, r2 = _ols(u, np.log(x))
+    coeffs = {"c": float(np.exp(intercept)), key: slope, **extra}
+    return FitResult(model, coeffs, win, rms, r2)
 
 
-def fit_power(trace: LevelSetTrace, window=None, offset=None) -> FitResult:
-    """Fit x = c*t**p + b by regressing ln(x - b) on ln t.
-
-    ``offset`` fixes b; None scans the coarse candidate grid and keeps the
-    smallest transformed residual.  Headline parameter: the exponent p.
-    """
+def fit_power(trace: LevelSetTrace, window=None) -> FitResult:
+    """Fit x = c*t**p by regressing ln x on ln t.  Headline parameter: the
+    local exponent p."""
     t, x, win = _windowed(trace, window)
     if np.any(t <= 0):
         raise InputError("power fit needs strictly positive times")
-    return _fit_transformed(np.log(t), x, offset, "power", win, {})
+    return _fit_log(np.log(t), x, win, "power", "p", {})
 
 
 def fit_exp_power(trace: LevelSetTrace, alpha: float, r: float,
-                  window=None, offset=None) -> FitResult:
-    """Fit x = c*exp(slope*s) + b against s = (r*(alpha+1)*t)**(1/(alpha+1)).
+                  window=None) -> FitResult:
+    """Fit x = c*exp(slope*s) by regressing ln x on
+    s = (r*(alpha+1)*t)**(1/(alpha+1)).
 
-    The slope estimates 1/beta for algebraic tails; intercept gives ln c.
+    The slope estimates 1/beta for algebraic tails.
     """
     t, x, win = _windowed(trace, window)
     a1 = alpha + 1.0
     s = (r * a1 * t) ** (1.0 / a1)
-    return _fit_transformed(s, x, offset, "exp_power", win, {"alpha": alpha, "r": r})
+    return _fit_log(s, x, win, "exp_power", "slope", {"alpha": alpha, "r": r})
 
 
 _MODEL_ORDER = ("linear", "power", "exp_power")  # increasing complexity
@@ -238,7 +204,8 @@ def selection_residual(fit: FitResult, trace: LevelSetTrace) -> float:
 
 
 def select_model(trace: LevelSetTrace, alpha: float, r: float) -> tuple[FitResult, Regime]:
-    """Fit all three models (offsets fitted) and pick by residual.
+    """Fit all three models on the last quarter of the trace and pick by
+    residual.
 
     The least complex model within ``COMPLEXITY_MARGIN`` of the smallest
     relative residual wins, so the flexible exp-power fit cannot claim

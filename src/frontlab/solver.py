@@ -93,13 +93,17 @@ class SimulationConfig:
             raise InputError(f"dt must be > 0, got {self.dt}")
         if self.t_end < 0:
             raise InputError(f"t_end must be >= 0, got {self.t_end}")
+        x_left, x_right = auto_size_domain(self)
+        if x_right <= x_left:
+            raise InputError(f"x_right must exceed x_left, got x_left = {x_left!r} "
+                             f"and x_right = {x_right!r}")
         if not self.lambdas:
             raise InputError("lambdas must name at least one level")
         if any(not 0 < lam < 1 for lam in self.lambdas):
-            raise InputError(f"levels must lie in (0, 1), got {self.lambdas}")
+            raise InputError(f"lambdas must lie in (0, 1), got {self.lambdas}")
         for i, lam in enumerate(self.lambdas):
             if lam in self.lambdas[:i]:
-                raise InputError(f"level {lam} is given twice")
+                raise InputError(f"level {lam} is given twice in lambdas")
         n_steps = _step_of(self.t_end, self.dt, "t_end")
         steps = [_step_of(ts, self.dt, "snapshot_times") for ts in self.snapshot_times]
         if any(not 0 <= k <= n_steps for k in steps):
@@ -149,8 +153,6 @@ def auto_size_domain(config: SimulationConfig) -> tuple[float, float]:
     clamp = config.data.clamp_point
     x_left = clamp - 10.0 if config.x_left is None else config.x_left
     x_right = clamp + 20.0 if config.x_right is None else config.x_right
-    if x_right <= x_left:
-        raise InputError("x_right must exceed x_left")
     return x_left, x_right
 
 

@@ -114,6 +114,10 @@ class TestParseConfig:
         ("dx = 0.05", "dx = 0", "dx must be > 0, got 0.0 (dx at line 11)"),
         ("t_end = 8.0", "t_end = 8.0\nsnapshot_times = 4, 2",
          "snapshot_times must be increasing (snapshot_times at line 16)"),
+        ("t_end = 8.0", "t_end = 8.0\n[measurement]\nlambdas = 0.5, 1.0",
+         "lambdas must lie in (0, 1), got (0.5, 1.0) (lambdas at line 17)"),
+        ("t_end = 8.0", "t_end = 8.0\n[measurement]\nlambdas = 0.5, 0.1, 0.5",
+         "level 0.5 is given twice in lambdas (lambdas at line 17)"),
     ])
     def test_invalid_value_names_its_line(self, old, new, message):
         # the lines of MINIMAL: dx 11, dt 14, t_end 15
@@ -383,6 +387,25 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert main(["simulate", str(path), "--out", str(out_dir)]) == 2
         assert "lambdas must name at least one level" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("bounds, message", [
+        ("x_left = 5.0\nx_right = 5.0",
+         "x_right must exceed x_left, got x_left = 5.0 and x_right = 5.0 "
+         "(x_left at line 12) (x_right at line 13)"),
+        # the unset x_right resolves to clamp + 20 = 20
+        ("x_left = 25.0", "x_right must exceed x_left, got x_left = 25.0 "
+         "and x_right = 20.0 (x_left at line 12)")],
+        ids=["equal", "left_past_default_right"])
+    def test_simulate_unordered_bounds_exit_two_before_output(self, bounds, message,
+                                                              tmp_path, capsys):
+        # accepted before, the run failed after making the output directory,
+        # with no line named
+        path = tmp_path / "bounds.cfg"
+        path.write_text(MINIMAL.replace("dx = 0.05", f"dx = 0.05\n{bounds}"))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("key, data", [

@@ -9,6 +9,9 @@ they do hold:
   [-10, 230];
 - fig9c: algebraic data, beta = 1, t_end = 20, final domain [-10, 470].
 
+The local exponent ``select_model`` fits on the last quarter of each trace
+is checked against the paper's 1/(beta(alpha+1)) (fig9b) and 1/beta (fig9c).
+
 Each test prints its measured values (``pytest -s`` shows them).
 """
 
@@ -21,7 +24,7 @@ from frontlab.envelope import (OdeProfile, _edge, calibrate_subsolution,
                                calibrate_supersolution_shift, cutoff_edge,
                                predict_level_envelope, subsolution,
                                supersolution)
-from frontlab.measurement import extract_level_position
+from frontlab.measurement import extract_level_position, select_model
 from frontlab.presets import PRESETS
 from frontlab.solver import run
 
@@ -29,6 +32,8 @@ from frontlab.solver import run
 # at least one time unit to it
 T_STAR = {"fig9b": 11.5, "fig9c": 9.0}
 EPSILON = 0.3  # times r, as criterion 7's bracket
+# the local exponents measured 3.709 (+3.9%) and 0.976 (-2.4%)
+EXPONENT_BAND = 0.06
 
 
 class Panel:
@@ -114,3 +119,17 @@ def test_quarter_m_level_past_the_cutoff_edge(panel):
               f"against the lower barrier's cutoff edge {edge:.5g}, "
               f"{int(np.sum(left))} cells at or left of it")
         assert np.all(snap.values[left] >= level)
+
+
+def test_local_exponent_near_theory(panel):
+    beta = panel.config.data.beta
+    if panel.name == "fig9b":  # sub-exponential tail: x ~ c t^p
+        model, theory = "power", 1.0 / (beta * (panel.alpha + 1.0))
+    else:  # algebraic tail: x ~ c exp(slope s)
+        model, theory = "exp_power", 1.0 / beta
+    fit, _ = select_model(panel.result.traces[0.5], panel.alpha, panel.r)
+    rel = (fit.exponent - theory) / theory
+    print(f"{panel.name}: select_model -> {fit.model} on {fit.window}, "
+          f"exponent {fit.exponent:.4g} against {theory:.4g} ({rel:+.1%})")
+    assert fit.model == model
+    assert abs(rel) <= EXPONENT_BAND

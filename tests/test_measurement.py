@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from frontlab import measurement
 from frontlab.envelope import Regime
 from frontlab.errors import InputError
-from frontlab.measurement import (OFFSET_GRID_SIZE, LevelSetTrace,
-                                  extract_level_position, fit_exp_power,
-                                  fit_linear, fit_power, select_model,
-                                  selection_residual)
+from frontlab.measurement import (LevelSetTrace, extract_level_position,
+                                  fit_exp_power, fit_linear, fit_power,
+                                  select_model, selection_residual)
 from frontlab.presets import PRESETS
 from frontlab.reporting import write_trace_csv
 from frontlab.solver import run
@@ -128,7 +127,7 @@ class TestLevelSetTrace:
     def test_window_and_default(self):
         trace = LevelSetTrace(0.5, np.linspace(0, 10, 21), np.linspace(0, 5, 21))
         lo, hi = trace.default_window()
-        assert (lo, hi) == (5.0, 10.0)
+        assert (lo, hi) == (7.5, 10.0)
         cut = trace.window(2.0, 4.0)
         assert cut.times[0] == 2.0 and cut.times[-1] == 4.0
 
@@ -159,21 +158,36 @@ class TestFitLinear:
             fit_linear(trace)
 
 
+def local_exponents(fit, fn, du_dt):
+    """d ln x / du of ``fn`` at the two ends of the fit's window, where u is
+    the fit's regressor (ln t or s) and ``du_dt`` its derivative in t."""
+    t = np.array(fit.window)
+    h = 1e-6 * t
+    dlnx_dt = (np.log(fn(t + h)) - np.log(fn(t - h))) / (2.0 * h)
+    return dlnx_dt / du_dt(t)
+
+
 class TestFitPower:
     def test_exact_power_law(self):
-        fit = fit_power(synthetic(lambda t: 2.0 * t ** 3.5), offset=0.0)
+        fit = fit_power(synthetic(lambda t: 2.0 * t ** 3.5))
         assert fit.coeffs["p"] == pytest.approx(3.5, rel=1e-12)
         assert fit.coeffs["c"] == pytest.approx(2.0, rel=1e-10)
         assert fit.residual < 1e-10
 
-    def test_published_curve_with_scanned_offset(self):
-        fit = fit_power(synthetic(lambda t: 0.0013 * t ** (1.0 / 0.28) + 40.0))
-        assert fit.coeffs["p"] == pytest.approx(1.0 / 0.28, rel=0.02)
+    def test_published_curve_gives_local_exponent(self):
+        # no offset is fitted: the +40 keeps the exponent between the local
+        # ones at the window's ends, below the curve's 1/0.28
+        fn = lambda t: 0.0013 * t ** (1.0 / 0.28) + 40.0
+        fit = fit_power(synthetic(fn))
+        assert sorted(fit.coeffs) == ["c", "p"]
+        lo, hi = local_exponents(fit, fn, lambda t: 1.0 / t)
+        assert lo < fit.coeffs["p"] < hi < 1.0 / 0.28
 
-    def test_fixed_offset_must_keep_positive(self):
-        trace = synthetic(lambda t: 2.0 * t)
-        with pytest.raises(InputError, match="offset 1000.0 makes x - b nonpositive"):
-            fit_power(trace, offset=1000.0)
+    def test_nonpositive_position_rejected(self):
+        # ln x needs x > 0 in the whole window
+        trace = synthetic(lambda t: 2.0 * t - 50.0)
+        with pytest.raises(InputError, match="window contains nonpositive positions"):
+            fit_power(trace)
 
     def test_positive_times_required(self):
         t = np.linspace(-1.0, 10.0, 50)
@@ -184,8 +198,8 @@ class TestFitPower:
     def test_scale_invariance_of_exponent(self):
         base = synthetic(lambda t: 2.0 * t ** 3.5)
         scaled = LevelSetTrace(0.5, base.times, 7.5 * base.positions)
-        p1 = fit_power(base, offset=0.0).coeffs
-        p2 = fit_power(scaled, offset=0.0).coeffs
+        p1 = fit_power(base).coeffs
+        p2 = fit_power(scaled).coeffs
         assert p2["p"] == pytest.approx(p1["p"], rel=1e-10)
         assert p2["c"] == pytest.approx(7.5 * p1["c"], rel=1e-9)
 
@@ -195,27 +209,30 @@ class TestFitExpPower:
         # x = exp(2 s): slope 2 exactly, zero residual
         a1 = 1.4
         fn = lambda t: np.exp(2.0 * (a1 * t) ** (1.0 / a1))
-        fit = fit_exp_power(synthetic(fn, t_max=8.0), 0.4, 1.0, offset=0.0)
+        fit = fit_exp_power(synthetic(fn, t_max=8.0), 0.4, 1.0)
         assert fit.coeffs["slope"] == pytest.approx(2.0, rel=1e-12)
         assert fit.residual < 1e-10
 
-    def test_published_curve_with_scanned_offset(self):
+    def test_published_curve_gives_local_exponent(self):
+        # no offset is fitted: the +10 keeps the slope between the local
+        # ones at the window's ends, below the curve's 1
         fn = lambda t: 0.0236 * np.exp((1.4 * t) ** (1.0 / 1.4)) + 10.0
         fit = fit_exp_power(synthetic(fn, t_max=30.0), 0.4, 1.0)
-        assert fit.coeffs["slope"] == pytest.approx(1.0, rel=0.02)
-        assert fit.coeffs["c"] == pytest.approx(0.0236, rel=0.10)
+        assert sorted(fit.coeffs) == ["alpha", "c", "r", "slope"]
+        lo, hi = local_exponents(fit, fn, lambda t: (1.4 * t) ** (1.0 / 1.4 - 1.0))
+        assert lo < fit.coeffs["slope"] < hi < 1.0
 
     def test_scale_invariance_of_slope(self):
         fn = lambda t: np.exp(2.0 * (1.4 * t) ** (1.0 / 1.4))
         base = synthetic(fn, t_max=8.0)
         scaled = LevelSetTrace(0.5, base.times, 3.0 * base.positions)
-        s1 = fit_exp_power(base, 0.4, 1.0, offset=0.0).coeffs["slope"]
-        s2 = fit_exp_power(scaled, 0.4, 1.0, offset=0.0).coeffs["slope"]
+        s1 = fit_exp_power(base, 0.4, 1.0).coeffs["slope"]
+        s2 = fit_exp_power(scaled, 0.4, 1.0).coeffs["slope"]
         assert s2 == pytest.approx(s1, rel=1e-10)
 
     def test_predict_inverts_transform(self):
-        fn = lambda t: 0.7 * np.exp(1.3 * (1.4 * t) ** (1.0 / 1.4)) + 2.0
-        fit = fit_exp_power(synthetic(fn, t_max=8.0), 0.4, 1.0, offset=2.0)
+        fn = lambda t: 0.7 * np.exp(1.3 * (1.4 * t) ** (1.0 / 1.4))
+        fit = fit_exp_power(synthetic(fn, t_max=8.0), 0.4, 1.0)
         t = np.array([5.0, 6.5])
         assert np.allclose(fit.predict(t), fn(t), rtol=1e-8)
 
@@ -252,8 +269,8 @@ class TestSelectModel:
 
 
 class LoopOracle:
-    """The former fits: one ``np.linalg.lstsq`` per candidate offset, in a
-    loop that keeps the first smallest residual."""
+    """The reference fits: one ``np.linalg.lstsq`` solve each, of x (linear)
+    or of ln x (power, exp-power)."""
 
     @staticmethod
     def ols(u, y):
@@ -266,30 +283,11 @@ class LoopOracle:
         return float(slope), float(intercept), rms, r2
 
     @classmethod
-    def transformed(cls, u, x, offset, model, win, extra):
-        if offset is not None:
-            candidates = [float(offset)]
-        else:
-            top = float(np.min(x))
-            if top <= 0:
-                raise InputError("window contains nonpositive positions")
-            candidates = [float(b) for b in
-                          np.linspace(0.0, top, OFFSET_GRID_SIZE, endpoint=False)]
-        best = None
-        for b in candidates:
-            shifted = x - b
-            if np.any(shifted <= 0):
-                if offset is not None:
-                    raise InputError(f"offset {b} makes x - b nonpositive")
-                continue
-            slope, intercept, rms, r2 = cls.ols(u, np.log(shifted))
-            if best is None or rms < best[0]:
-                best = (rms, slope, intercept, b, r2)
-        if best is None:
-            raise InputError("no admissible offset found")
-        rms, slope, intercept, b, r2 = best
-        key = "p" if model == "power" else "slope"
-        coeffs = {"c": float(np.exp(intercept)), key: slope, "b": b, **extra}
+    def log_fit(cls, u, x, model, key, win, extra):
+        if np.any(x <= 0):
+            raise InputError("window contains nonpositive positions")
+        slope, intercept, rms, r2 = cls.ols(u, np.log(x))
+        coeffs = {"c": float(np.exp(intercept)), key: slope, **extra}
         return measurement.FitResult(model, coeffs, win, rms, r2)
 
     @staticmethod
@@ -307,15 +305,15 @@ class LoopOracle:
         return measurement.FitResult("linear", {"a": a, "b": b}, win, rms, r2)
 
     @classmethod
-    def fit_power(cls, trace, window=None, offset=None):
+    def fit_power(cls, trace, window=None):
         t, x, win = cls.windowed(trace, window)
-        return cls.transformed(np.log(t), x, offset, "power", win, {})
+        return cls.log_fit(np.log(t), x, "power", "p", win, {})
 
     @classmethod
-    def fit_exp_power(cls, trace, alpha, r, window=None, offset=None):
+    def fit_exp_power(cls, trace, alpha, r, window=None):
         t, x, win = cls.windowed(trace, window)
         s = (r * (alpha + 1.0) * t) ** (1.0 / (alpha + 1.0))
-        return cls.transformed(s, x, offset, "exp_power", win, {"alpha": alpha, "r": r})
+        return cls.log_fit(s, x, "exp_power", "slope", win, {"alpha": alpha, "r": r})
 
 
 ORACLE_PANELS = ["fig3a"] + [f"fig{fig}{panel}" for fig in (6, 7, 8) for panel in "abc"]
@@ -329,8 +327,6 @@ def panel_traces():
 def assert_same_fit(got, want):
     assert (got.model, got.window, sorted(got.coeffs)) == \
         (want.model, want.window, sorted(want.coeffs))
-    if got.model != "linear":
-        assert got.coeffs["b"] == want.coeffs["b"]  # the same candidate offset
     for key, value in want.coeffs.items():
         assert got.coeffs[key] == pytest.approx(value, rel=1e-12, abs=0.0)
     assert got.residual == pytest.approx(want.residual, rel=1e-12, abs=0.0)
@@ -338,7 +334,7 @@ def assert_same_fit(got, want):
 
 
 def fits_both_ways(trace, alpha, r, monkeypatch):
-    """Every fit and the selection, from the array scan and from the loop."""
+    """Every fit and the selection, from ``measurement`` and from the oracle."""
     results = []
     for fits in (measurement, LoopOracle):
         for name in ("fit_linear", "fit_power", "fit_exp_power"):
@@ -350,7 +346,7 @@ def fits_both_ways(trace, alpha, r, monkeypatch):
             try:
                 out[model] = call()
             except InputError as exc:
-                # a window no offset keeps positive; any other InputError
+                # a window with a nonpositive position; any other InputError
                 # (a short window) fails the test
                 if "nonpositive" not in str(exc):
                     raise
@@ -362,6 +358,8 @@ def fits_both_ways(trace, alpha, r, monkeypatch):
 
 
 class TestOffsetScanMatchesLoop:
+    """Each offset-free fit, and the selection, against ``LoopOracle``."""
+
     @pytest.mark.parametrize("name", ORACLE_PANELS)
     def test_preset_traces(self, panel_traces, name, monkeypatch):
         params = PRESETS[name].config.reaction.params
@@ -373,7 +371,7 @@ class TestOffsetScanMatchesLoop:
         assert_same_fit(fit, want_fit)
 
     def test_window_with_nonpositive_positions(self, monkeypatch):
-        # x crosses zero inside the default window [2.75, 5]; the ripple
+        # x crosses zero inside the default window [3.875, 5]; the ripple
         # keeps the residual above rounding noise
         trace = synthetic(lambda t: 2.0 * t - 8.0 + 0.01 * np.sin(7.0 * t),
                           t_max=5.0, n=200)
@@ -383,34 +381,3 @@ class TestOffsetScanMatchesLoop:
         assert_same_fit(got["linear"], want["linear"])
         assert got["selected"][1] is want["selected"][1] is Regime.FINITE_SPEED
         assert_same_fit(got["selected"][0], want["selected"][0])
-
-    @pytest.mark.parametrize("offset", [0.0, 1.5, 20.0])
-    def test_fixed_offset(self, offset):
-        trace = synthetic(lambda t: 0.0013 * t ** (1.0 / 0.28) + 40.0)
-        assert_same_fit(fit_power(trace, offset=offset),
-                        LoopOracle.fit_power(trace, offset=offset))
-        assert_same_fit(fit_exp_power(trace, 0.4, 1.0, offset=offset),
-                        LoopOracle.fit_exp_power(trace, 0.4, 1.0, offset=offset))
-        with pytest.raises(InputError, match="makes x - b nonpositive"):
-            fit_power(trace, offset=trace.positions.max())
-
-    @pytest.mark.parametrize("rows", [1, 7, 50])
-    def test_offsets_scored_in_blocks(self, panel_traces, rows, monkeypatch):
-        # blocks of 1, 7 (a short last block) and 50 rows give the loop's fit
-        trace = panel_traces["fig6a"]
-        params = PRESETS["fig6a"].config.reaction.params
-        samples = trace.window(*trace.default_window()).times.size
-        monkeypatch.setattr(measurement, "OFFSET_BLOCK_CELLS", rows * samples)
-        assert_same_fit(fit_power(trace), LoopOracle.fit_power(trace))
-        assert_same_fit(fit_exp_power(trace, params.alpha, params.r),
-                        LoopOracle.fit_exp_power(trace, params.alpha, params.r))
-
-    def test_long_window_in_blocks(self):
-        # 6000 samples in the default window: blocks of 43 and 8 offsets; the
-        # power fit picks offset 46, in the second
-        trace = synthetic(lambda t: 0.0013 * t ** (1.0 / 0.28) + 200.0
-                          + 1e-3 * np.sin(t), n=12000)
-        assert measurement.OFFSET_BLOCK_CELLS // 6000 == 43
-        assert_same_fit(fit_power(trace), LoopOracle.fit_power(trace))
-        assert_same_fit(fit_exp_power(trace, 0.4, 1.0),
-                        LoopOracle.fit_exp_power(trace, 0.4, 1.0))

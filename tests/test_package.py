@@ -2,11 +2,12 @@
 
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
 import frontlab
-from frontlab import config, errors, reaction
+from frontlab import config, errors, measurement, reaction
 
 DELETED = ("TravelingBound", "min_wave_speed", "traveling_bound",
            "traveling_profile", "traveling_residual",
@@ -35,10 +36,20 @@ DELETED_REACTION = ("BoundViolation", "log_sample_grid", "ReactionKind", "kpp", 
                     "_rate_array")
 
 
+# the offset scan: the power and exp-power fits take no additive offset
+DELETED_MEASUREMENT = ("OFFSET_GRID_SIZE", "OFFSET_BLOCK_CELLS", "_fit_transformed")
+
+
 def test_deleted_module_names_gone():
     for module, name in (*((reaction, name) for name in DELETED_REACTION),
-                         *((errors, name) for name in DELETED_ERRORS)):
+                         *((errors, name) for name in DELETED_ERRORS),
+                         *((measurement, name) for name in DELETED_MEASUREMENT)):
         assert not hasattr(module, name), name
+
+
+def test_fits_take_no_offset():
+    for fit in (measurement.fit_power, measurement.fit_exp_power):
+        assert "offset" not in inspect.signature(fit).parameters, fit.__name__
 
 
 def test_one_error_class_per_exit_code():

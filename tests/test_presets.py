@@ -111,7 +111,7 @@ class TestTablePresets:
 
 class TestRunBundle:
     def test_failed_fit_skipped_and_logged(self, tmp_path):
-        # t_end = 0.1 at dt = 0.01 leaves 6 samples in the default window,
+        # t_end = 0.1 at dt = 0.01 leaves 3 samples in the default window,
         # fewer than any rate model needs
         config = SimulationConfig(
             reaction=weakly_monostable(alpha=0.4),
@@ -121,7 +121,7 @@ class TestRunBundle:
         messages = []
         result = run_bundle(config, str(tmp_path), "short run", log=messages.append)
         trace = result.traces[0.5]
-        assert trace.window(*trace.default_window()).times.size == 6
+        assert trace.window(*trace.default_window()).times.size == 3
         assert len(messages) == 1 and "fit skipped" in messages[0]
         assert (tmp_path / "fits.txt").read_text() == ""
         for name in ("snapshots.csv", "trace_lambda_0.5.csv", "plot.gp"):

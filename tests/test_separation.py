@@ -50,7 +50,7 @@ def fronts():
         trace = result.traces[0.5]
         out[name] = (fit_linear(trace, (10.0, 15.0)).exponent,
                      fit_linear(trace, (25.0, 30.0)).exponent,
-                     fit_power(trace, (25.0, 30.0), offset=0.0).exponent)
+                     fit_power(trace, (25.0, 30.0)).exponent)
     return out
 
 

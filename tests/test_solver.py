@@ -48,7 +48,7 @@ class TestConfigValidation:
             make_config(lambdas=())
 
     def test_levels_inside_unit_interval(self):
-        with pytest.raises(InputError, match=r"levels must lie in \(0, 1\)"):
+        with pytest.raises(InputError, match=r"lambdas must lie in \(0, 1\)"):
             make_config(lambdas=(0.5, 1.0))
 
     def test_snapshots_sorted_within_range(self):
