@@ -1,12 +1,15 @@
-"""Hot numeric kernel: the backward Euler diffusion step.
+"""Hot numeric kernel: the theta step of the diffusion, Crank-Nicolson or
+backward Euler, built on one backward Euler solve.
 
-Each step solves (I - mu*L) u_new = rhs, mu = dt/dx**2, L the 3-point
-Laplacian, with a reflecting (zero-flux) row on the left and a pinned
-Dirichlet row on the right.  The matrix is strictly diagonally dominant, so
-the zero-pivot check is purely defensive.  It depends only on (n, mu):
-``_factor`` computes its Thomas pivots once, and a step is left with two
-first-order linear recurrences g[i] = s*g[i-1] + d[i] (the elimination and
-the back-substitution).  Each is a blocked prefix sum
+A solve computes y = (I - a*L)^-1 v, with L the 3-point Laplacian, a
+reflecting (zero-flux) row on the left and a pinned Dirichlet row on the
+right.  Crank-Nicolson at mu = dt/dx**2 is the solve at a = mu/2 through
+the identity (I - aL)^-1 (I + aL) u = 2 (I - aL)^-1 u - u, so both schemes
+share one matrix per (n, a).  It is strictly diagonally dominant, so the
+zero-pivot check is purely defensive.  ``_factor`` computes its Thomas
+pivots once, and a step is left with two first-order linear recurrences
+g[i] = s*g[i-1] + d[i] (the elimination and the back-substitution).  Each
+is a blocked prefix sum
 (Blelloch 1990) over the n - 1 unpinned cells laid out as one (R, L) view:
 R = ceil((n-1)/limit) rows of L = ceil((n-1)/R) cells, where limit is the
 longest row whose factors stay within 2**-600..2**600.  Inside a row
@@ -19,11 +22,14 @@ which holds the few pivots that have not reached their fixed point, has
 exact per-cell factors; every other row repeats the settled powers.  The
 R*L - (n-1) < R pad cells sit at the end of the elimination and at the start
 of the back-substitution, which reads the elimination's end backwards; they
-get pre = 0.  A step makes 15 numpy calls, whatever n and mu: the rhs, six
-per sweep (multiply, row sums and their list, the carries, accumulate,
-multiply), zeroing the pads and the reversed copy.  A grid that fits one row
-skips the row sums and carries, 9 calls in all.  The cache per grid holds
-the two work arrays and the four (R, L) factor arrays, about 6n floats.
+get pre = 0.  The back-substitution's post factors carry an exact factor 2,
+so it yields 2y, and the step's final reversed copy is the finish: 2y - u
+for Crank-Nicolson, 2y * 0.5 for backward Euler.  A step makes 15 numpy
+calls, whatever n and mu: the rhs, six per sweep (multiply, row sums and
+their list, the carries, accumulate, multiply), zeroing the pads and the
+finish.  A grid that fits one row skips the row sums and carries, 9 calls
+in all.  The cache per grid holds the two work arrays and the four (R, L)
+factor arrays, about 6n floats.
 numpy only: importing scipy.linalg for its banded solvers would double the
 resident memory of a small run and add about 0.3 s to start-up.
 """
@@ -146,23 +152,36 @@ def _factor(n, mu):
     pre = 1.0 / post
     pre[0, :pads] = 0.0
     first = c[np.arange(1, rows) * width - pads]
+    # 2 * post: the sweep writes 2y, exactly twice the solve's y
     bwd = _Sweep(d_buf[::-1].reshape(rows, width), x_buf[1:].reshape(rows, width),
-                 pre, post, float(c[0]), (first * post[:-1, -1]).tolist())
+                 pre, 2.0 * post, float(c[0]), (first * post[:-1, -1]).tolist())
     return d_buf[:cells], d_buf[cells:], x_buf[pads:], fwd, bwd
 
 
-def theta_step(u, f_u, mu, right_value):
-    """One IMEX step: explicit reaction increment ``f_u`` (already multiplied
-    by dt; None for pure diffusion), backward Euler diffusion, reflecting
-    left and pinned right boundary.  Returns a new array whose last entry is
-    ``right_value``.
+def theta_step(u, f_u, mu, right_value, theta):
+    """One theta step of u_t = u_xx with an explicit increment: solves
+
+        (I - theta*mu*L) x = (I + (1 - theta)*mu*L) u + f_u / theta
+
+    for theta = 0.5 (Crank-Nicolson) or 1 (backward Euler), mu = dt/dx**2,
+    with a reflecting left row and x[-1] = ``right_value``.  ``f_u`` is
+    theta times the step's explicit increment (None for none); the solve
+    is one backward Euler solve at theta*mu of u + f_u.  Returns a new
+    array.
 
     The benchmark (``perfbench/tracing.py``) times this function by its
     name, ``frontlab.kernels.theta_step``, and counts its cells from
     argument 0, so both the name and ``u`` as the first argument stay.  The
     step works in buffers kept with its factor, so it is not re-entrant.
     """
-    d, pad, x, fwd, bwd = _factor(u.shape[0], mu)
+    if theta == 0.5:
+        # the solve's pinned value is the mean of the old and new ones
+        pinned = 0.5 * (right_value + float(u[-1]))
+    elif theta == 1.0:
+        pinned = right_value
+    else:
+        raise ValueError(f"theta must be 0.5 or 1, got {theta!r}")
+    d, pad, x, fwd, bwd = _factor(u.shape[0], theta * mu)
     if f_u is None:
         d[:] = u[:-1]
     else:
@@ -173,6 +192,9 @@ def theta_step(u, f_u, mu, right_value):
     # reads the elimination's pad cells first; zeroed, a NaN left there by
     # an earlier step cannot reach a cell through pre = 0
     pad.fill(0.0)
-    _scan(bwd, right_value)
-    x[0] = right_value
-    return x[::-1].copy()
+    _scan(bwd, pinned)
+    # x[1:] holds 2y in reverse; the reversed copy is the step's finish, and
+    # the pinned cell, x[0] there, is set after it
+    out = np.subtract(x[::-1], u) if theta == 0.5 else np.multiply(x[::-1], 0.5)
+    out[-1] = right_value
+    return out

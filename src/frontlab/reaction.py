@@ -64,9 +64,10 @@ def eval_f(family: ReactionFamily, s, lo: float | None = None):
     Takes and returns arrays; a scalar ``s`` gives a 0-d array.  Raises
     ``InputError`` for values outside [0, 1].  Exactly 0 is returned at
     s = 0 and s = 1 (continuous limits; no logarithm of zero is ever taken).
-    The result is a new array, which the caller may overwrite.  The log is
-    taken of s raised to ``UNDERFLOW_CUTOFF``, and cells at or below the
-    cutoff are set to 0 afterwards, when the minimum shows any.
+    The result is a new array, which the caller may overwrite.  When the
+    minimum is at or below ``UNDERFLOW_CUTOFF``, the log is taken of s
+    raised to the cutoff and those cells are set to 0 afterwards; above
+    it, of s itself.
 
     ``lo``, when given, is the caller's promise that ``s`` lies in [0, 1]
     with minimum ``lo`` (the solver knows both from its previous step); the
@@ -90,8 +91,10 @@ def eval_f(family: ReactionFamily, s, lo: float | None = None):
     out = np.multiply(s1, p.r)
     den = np.subtract(1.0, s1)
     out *= den
-    np.maximum(s1, UNDERFLOW_CUTOFF, out=den)
-    np.log(den, out=den)
+    if lo > UNDERFLOW_CUTOFF:
+        np.log(s1, out=den)
+    else:
+        np.log(np.maximum(s1, UNDERFLOW_CUTOFF, out=den), out=den)
     np.subtract(1.0, den, out=den)
     den **= p.alpha
     out /= den

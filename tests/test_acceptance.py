@@ -128,7 +128,7 @@ def test_criterion_5_exp_power_acceleration(exp_power_run):
         (f"select_model -> {fit.model} (want exp_power); at t_end=8 the "
          f"trace is still in the traveling/crossover regime (an independent "
          f"RK2 oracle reproduces the same positions to 0.2%); the same "
-         f"solver at t_end=20 selects exp_power with slope 0.976",
+         f"solver at t_end=20 selects exp_power with slope 0.978",
          fit.model == "exp_power"),
         (f"slope {fit.exponent:.4f} within 15% of 1/beta = 1", rel <= 0.15),
     ]

@@ -1,4 +1,5 @@
-"""Kernels: the factor-once backward Euler step against a general Thomas solve."""
+"""Kernels: the factor-once theta step (Crank-Nicolson or backward Euler)
+against a general Thomas solve."""
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def explicit_half(u, mu, theta):
 
 
 def step_oracle(u, f_u, mu, right_value):
-    # the backward Euler step as one explicit-band Thomas solve
+    # the backward Euler solve of u + f_u as one explicit-band Thomas solve
     n = u.shape[0]
     rhs = u + f_u
     rhs[-1] = right_value
@@ -76,12 +77,17 @@ def first_size_with(rows, mu):
 
 
 def assert_close_to_oracle(u, mu, theta=1.0):
-    # theta < 1: the kernel as the implicit half of a theta-weighted step,
-    # solving at theta * mu after the explicit half is added to u
-    f_u = 0.01 * u * (1.0 - u)
+    # the theta-weighted step with increment g: the oracle solves at
+    # theta * mu after the explicit share is added to u.  The kernel takes
+    # theta = 0.5 and 1 itself, with theta * g; any other theta runs its
+    # backward Euler solve at theta * mu on the explicit share added to u
+    g = 0.01 * u * (1.0 - u)
     v = explicit_half(u, mu, theta)
-    out = kernels.theta_step(v, f_u, theta * mu, u[-1])
-    expected = step_oracle(v, f_u, theta * mu, u[-1])
+    if theta in (0.5, 1.0):
+        out = kernels.theta_step(u, theta * g, mu, u[-1], theta)
+    else:
+        out = kernels.theta_step(v, g, theta * mu, u[-1], 1.0)
+    expected = step_oracle(v, g, theta * mu, u[-1])
     assert out[-1] == u[-1]
     assert np.all(np.abs(out - expected) <= 1e-12 * np.abs(expected))
     return out, expected
@@ -120,18 +126,18 @@ class TestThomasSolve:
 class TestThetaStep:
     def test_zero_state_fixed_point(self):
         u = np.zeros(40)
-        out = kernels.theta_step(u, np.zeros(40), 4.0, 0.0)
+        out = kernels.theta_step(u, np.zeros(40), 4.0, 0.0, 0.5)
         assert np.array_equal(out, u)
 
     def test_unit_state_fixed_point(self):
         u = np.ones(40)
-        out = kernels.theta_step(u, np.zeros(40), 4.0, 1.0)
+        out = kernels.theta_step(u, np.zeros(40), 4.0, 1.0, 0.5)
         assert np.allclose(out, 1.0, atol=1e-14)
 
     def test_right_boundary_pinned_exactly(self):
         rng = np.random.default_rng(3)
         u = np.sort(rng.uniform(0.0, 1.0, 50))[::-1].copy()
-        out = kernels.theta_step(u, np.zeros(50), 2.0, 0.123456)
+        out = kernels.theta_step(u, np.zeros(50), 2.0, 0.123456, 0.5)
         assert out[-1] == 0.123456
 
     def test_mass_conserved_without_reaction(self):
@@ -140,7 +146,7 @@ class TestThetaStep:
         u = np.exp(-((x - 8.0) ** 2))
         out = u.copy()
         for _ in range(50):
-            out = kernels.theta_step(out, np.zeros_like(out), 1.0, out[-1])
+            out = kernels.theta_step(out, np.zeros_like(out), 1.0, out[-1], 0.5)
         assert np.sum(out) == pytest.approx(np.sum(u), rel=1e-10)
 
     # "edge k": the first grid whose scan carries across k row boundaries
@@ -216,13 +222,34 @@ class TestThetaStep:
         u = front_profiles(n)[1]
         bad = u.copy()
         bad[n // 2] = np.nan
-        assert np.isnan(kernels.theta_step(bad, None, mu, u[-1])).any()
+        assert np.isnan(kernels.theta_step(bad, None, mu, u[-1], 1.0)).any()
         assert_close_to_oracle(u, mu)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.8, 2.0])
+    def test_only_crank_nicolson_and_backward_euler(self, theta):
+        with pytest.raises(ValueError, match="theta must be 0.5 or 1"):
+            kernels.theta_step(np.ones(10), None, 4.0, 1.0, theta)
+
+    def test_backward_euler_halves_a_doubled_solve_exactly(self):
+        # the back-substitution yields 2y and the backward Euler finish
+        # halves it: the step is the plain solve, bit for bit, against the
+        # same factor with the factor 2 taken out of its post factors
+        n, mu = 2601, 2.0
+        u = front_profiles(n)[1]
+        f_u = 0.01 * u * (1.0 - u)
+        out = kernels.theta_step(u, f_u, mu, u[-1], 1.0)
+        d, pad, x, fwd, bwd = kernels._factor(n, mu)
+        np.add(u[:-1], f_u[:-1], out=d)
+        kernels._scan(fwd, 0.0)
+        pad.fill(0.0)
+        kernels._scan(bwd._replace(post=0.5 * bwd.post), u[-1])
+        x[0] = u[-1]
+        assert out.tobytes() == x[::-1].tobytes()
 
     def test_too_small_mu_reported(self):
         # a coefficient below 2**-600 leaves no room for a row
         with pytest.raises(SolverError, match="too small for a row of the scan"):
-            kernels.theta_step(np.ones(10), None, 1e-300, 1.0)
+            kernels.theta_step(np.ones(10), None, 1e-300, 1.0, 1.0)
 
     def test_each_size_gets_its_own_factor(self):
         # domain growth changes n between steps with the same mu;

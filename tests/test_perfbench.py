@@ -57,9 +57,9 @@ def case_config(case) -> solver.SimulationConfig:
 # wide_power's front stays within 8 cells of the clamp point, where a
 # relative error says little, so it is measured in cells.
 BOUNDS = {
-    "finite_speed": ("relative", 6.0e-3, "5.52e-3 at x_0.5(1.5)"),
-    "fig7a": ("relative", 2.75e-3, "2.48e-3 at x_0.5(2)"),
-    "wide_power": ("dx", 0.46, "0.416 dx at x_0.5(0.2)"),
+    "finite_speed": ("relative", 1.0e-4, "-9.24e-5 at x_0.5(1.5)"),
+    "fig7a": ("relative", 3.05e-4, "-2.77e-4 at x_0.5(2)"),
+    "wide_power": ("dx", 0.0076, "-0.0069 dx at x_0.5(0.2)"),
 }
 
 

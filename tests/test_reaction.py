@@ -120,6 +120,16 @@ class TestEvalF:
         lo = float(s.min())
         assert eval_f(family, s, lo).tobytes() == eval_f(family, s).tobytes()
 
+    @pytest.mark.parametrize("low", [np.nextafter(UNDERFLOW_CUTOFF, 1.0), 1e-250, 0.3])
+    def test_log_above_the_cutoff_gives_the_same_bits(self, low):
+        # a minimum above the cutoff takes the log of s itself; lo = 0.0, a
+        # loose but true bound, takes it of s raised to the cutoff
+        s = np.concatenate([np.linspace(1.0, 0.3, 2001), np.geomspace(0.3, low, 2001)])
+        family = weakly_monostable(0.4, r=1.3)
+        direct = eval_f(family, s, float(s.min()))
+        assert direct.tobytes() == eval_f(family, s).tobytes()
+        assert direct.tobytes() == eval_f(family, s, 0.0).tobytes()
+
     def test_params_validation(self):
         with pytest.raises(InputError, match="reaction rate r must be finite and > 0"):
             ReactionParams(r=0.0, alpha=0.4)

@@ -61,7 +61,7 @@ def change(speeds):
 
 def test_threshold_speed_levels_off(fronts):
     drift = change(fronts["threshold"])
-    # measured +1.77%; margin 1.2 points
+    # measured +1.72%; margin 1.3 points
     report("threshold drift", [
         (f"speed {fronts['threshold'][0]:.4f} -> {fronts['threshold'][1]:.4f}, "
          f"|change| {abs(drift):.2%} < 3%", abs(drift) < 0.03)])
@@ -70,15 +70,15 @@ def test_threshold_speed_levels_off(fronts):
 def test_threshold_speed_matches_envelope(fronts):
     late = fronts["threshold"][1]
     err = late / ENVELOPE_SPEED - 1.0
-    # measured -0.48%; margin 1 point
+    # measured -0.30%; margin 1.2 points
     report("threshold speed", [
         (f"speed on [25, 30] {late:.4f} vs envelope (alpha+1)/mu**(alpha+1) = "
          f"{ENVELOPE_SPEED:.4f}: |error| {abs(err):.2%} < 1.5%", abs(err) < 0.015)])
 
 
 def test_speed_rises_only_below_threshold(fronts):
-    # measured: below +20.4% (margin 10.4 points); threshold +1.77% and
-    # above -5.18% (margin 1.2 points over the threshold's)
+    # measured: below +20.35% (margin 10.35 points); threshold +1.72% and
+    # above -5.23% (margin 1.3 points over the threshold's)
     below, at, above = (change(fronts[name]) for name in ("below", "threshold", "above"))
     report("separation", [
         (f"beta=0.6 speed change {below:+.2%} > +10%", below > 0.10),
@@ -90,7 +90,7 @@ def test_exponent_below_threshold_lies_above_theory(fronts):
     p = fronts["below"][2]
     theory = 1.0 / (BETAS["below"] * (ALPHA + 1.0))
     err = p / theory - 1.0
-    # measured p = 1.2579 against 1.1905, +5.67%; margin 2.3 points
+    # measured p = 1.2573 against 1.1905, +5.61%; margin 2.4 points
     report("local exponent", [
         (f"beta=0.6 exponent on [25, 30] {p:.4f} vs 1/(beta(alpha+1)) = {theory:.4f}: "
          f"error {err:+.2%} in (0, 8%)", 0.0 < err < 0.08)])
