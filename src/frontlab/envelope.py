@@ -335,22 +335,24 @@ def classify_regime(alpha: float, spec: InitialDataSpec) -> RegimeClassification
 
 
 def predict_level_envelope(alpha: float, r: float, spec: InitialDataSpec,
-                           epsilon: float, t: float) -> tuple[float, float]:
-    """Predicted bracket [x_lower, x_upper] for the front position at time t.
+                           epsilon: float, t):
+    """Predicted bracket (x_lower, x_upper) for the front position at times t.
 
     Composes the tail inverse with the rate bracket:
         x_lower = U0(exp(-[(r-eps)*(alpha+1)*t]**(1/(alpha+1)))),
         x_upper = U0(exp(-[(r+eps)*(alpha+1)*t]**(1/(alpha+1)))).
     Multiplicative constants of the exact statements are taken as 1, so
     the bracket holds only once t is large enough for them not to matter.
+    A scalar ``t`` gives 0-d numpy values.
     """
     if not 0 <= epsilon < r:
         raise InputError(f"epsilon must be in [0, r), got {epsilon}")
-    if not t > 0:
-        raise InputError(f"t={t} too small: bracket densities leave the tail")
+    t = np.asarray(t, dtype=float)
+    if t.size and not np.min(t) > 0:
+        raise InputError(f"t={np.min(t)} too small: bracket densities leave the tail")
     a1 = alpha + 1.0
-    y_lo = ((r - epsilon) * a1 * t) ** (1.0 / a1)
-    y_hi = ((r + epsilon) * a1 * t) ** (1.0 / a1)
-    x_lower = float(position_at_phi(spec, y_lo))
-    x_upper = float(position_at_phi(spec, y_hi))
-    return x_lower, x_upper
+    # np.power, not **: ** on a numpy scalar calls C pow, so a scalar t
+    # would round differently from the same t in an array
+    y_lo = np.power((r - epsilon) * a1 * t, 1.0 / a1)
+    y_hi = np.power((r + epsilon) * a1 * t, 1.0 / a1)
+    return position_at_phi(spec, y_lo), position_at_phi(spec, y_hi)

@@ -43,6 +43,35 @@ CELL_CAP = 4_000_000
 # the 2-point Gauss-Legendre nodes are the cell centre +- GAUSS_NODE half
 # widths; numpy.polynomial would add 1.75 MB of resident memory and 5 ms
 GAUSS_NODE = math.sqrt(1.0 / 3.0)
+# the positive nodes of 8-point Gauss-Legendre on [-1, 1] and their weights
+# (Abramowitz & Stegun, table 25.4), hard-coded for the same reason
+GAUSS8_NODES = (0.18343464249564980494, 0.52553240991632898582,
+                0.79666647741362673959, 0.96028985649753623168)
+GAUSS8_WEIGHTS = (0.36268378337836198297, 0.31370664587788728734,
+                  0.22238103445337447054, 0.10122853629037625915)
+# the first REFINED_CELLS cells that reach past the clamp point, where u0
+# may fall steeply or have a singular derivative, are averaged again on
+# GRADED_PANELS panels, each half the width of the one before toward the
+# clamp point, with 8 nodes a panel (Davis & Rabinowitz 1984)
+REFINED_CELLS = 4
+GRADED_PANELS = 40
+
+
+def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in [0, 1] and weights summing to 1 of 8-point Gauss-Legendre
+    on the panels [2**-(j+1), 2**-j] for j < GRADED_PANELS - 1, then on
+    [0, 2**-(GRADED_PANELS - 1)]."""
+    x = np.array(GAUSS8_NODES)
+    w = np.array(GAUSS8_WEIGHTS)
+    x, w = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+    right = 0.5 ** np.arange(GRADED_PANELS)
+    left = np.append(right[1:], 0.0)
+    half = 0.5 * (right - left)[:, None]
+    return ((left[:, None] + half * (1.0 + x)).ravel(),
+            (half * w).ravel())
+
+
+_GRADED_NODES, _GRADED_WEIGHTS = _graded_rule()
 
 
 def _step_of(t: float, dt: float, name: str) -> int:
@@ -188,27 +217,25 @@ def initialize_state(config: SimulationConfig,
 
 def cell_averages(data: InitialDataSpec, grid: np.ndarray, dx: float) -> np.ndarray:
     """u0 averaged over each cell [x - dx/2, x + dx/2] by the 2-point
-    Gauss-Legendre rule, one node at a time.  The cell that holds the clamp
-    point inside it is split there: its plateau side averages exactly 1,
-    and the rule runs on its tail side, where u0 is smooth."""
+    Gauss-Legendre rule, one node at a time.  The first ``REFINED_CELLS``
+    cells that reach past the clamp point, the one that holds it included,
+    are averaged again, exact to rounding, by the graded rule on their tail
+    side [max(x - dx/2, clamp), x + dx/2], graded toward its left end, in
+    one more ``eval_u0`` call; the plateau side of the clamp cell averages
+    exactly 1."""
     offset = 0.5 * dx * GAUSS_NODE
     nodes = grid - offset
-    clamp = data.clamp_point
-    k = int(round((clamp - grid[0]) / dx))
-    split = 0 <= k < grid.shape[0] and abs(clamp - grid[k]) < 0.5 * dx
-    if split:
-        # the tail [clamp, b] of cell k: midpoint, half-width, tail share
-        b = grid[k] + 0.5 * dx
-        mid, half, share = 0.5 * (clamp + b), 0.5 * (b - clamp), (b - clamp) / dx
-        nodes[k] = mid - half * GAUSS_NODE
     values = eval_u0(data, nodes)
     np.add(grid, offset, out=nodes)
-    if split:
-        nodes[k] = mid + half * GAUSS_NODE
     values += eval_u0(data, nodes)
     values *= 0.5
-    if split:
-        values[k] = 1.0 - share * (1.0 - values[k])
+    clamp = data.clamp_point
+    first = int(np.searchsorted(grid, clamp - 0.5 * dx, side="right"))
+    cells = grid[first:first + REFINED_CELLS]
+    a, b = cells - 0.5 * dx, cells + 0.5 * dx
+    lo = np.clip(a, clamp, b)
+    tail = eval_u0(data, lo[:, None] + (b - lo)[:, None] * _GRADED_NODES) @ _GRADED_WEIGHTS
+    values[first:first + cells.shape[0]] = ((lo - a) + (b - lo) * tail) / dx
     return values
 
 

@@ -148,12 +148,10 @@ def verify_sandwich(result=None) -> list[Check]:
 
     trace = result.traces[0.5]
     sel = trace.times >= 4.0
-    inside = True
-    margin = 0.0
-    for t, x in zip(trace.times[sel], trace.positions[sel]):
-        x_lo, x_hi = predict_level_envelope(alpha, r, config.data, 0.3 * r, t)
-        inside = inside and (x_lo <= x <= x_hi)
-        margin = max(margin, (x_lo - x) / x, (x - x_hi) / x)
+    x = trace.positions[sel]
+    x_lo, x_hi = predict_level_envelope(alpha, r, config.data, 0.3 * r, trace.times[sel])
+    inside = bool(np.all((x_lo <= x) & (x <= x_hi)))
+    margin = float(np.max(np.maximum((x_lo - x) / x, (x - x_hi) / x), initial=0.0))
     checks.append(Check("rate_bracket[eps=0.3r, t>=4]", inside, margin, 0.0,
                         detail=f"{int(sel.sum())} trace samples"))
     return checks

@@ -276,8 +276,19 @@ class TestPredictLevelEnvelope:
             lo, hi = predict_level_envelope(0.4, 1.0, ALG, 0.5, t)
             assert lo < hi
 
+    def test_array_matches_scalar_calls(self):
+        # verify_sandwich evaluates its bracket over every trace sample at once
+        t = np.linspace(4.0, 8.0, 401)
+        lo, hi = predict_level_envelope(0.4, 1.0, ALG, 0.3, t)
+        assert lo.shape == hi.shape == t.shape
+        scalar = np.array([predict_level_envelope(0.4, 1.0, ALG, 0.3, ti) for ti in t])
+        np.testing.assert_array_max_ulp(lo, scalar[:, 0], maxulp=1)
+        np.testing.assert_array_max_ulp(hi, scalar[:, 1], maxulp=1)
+
     def test_domain_errors(self):
         with pytest.raises(InputError, match="too small: bracket densities leave the tail"):
             predict_level_envelope(0.4, 1.0, ALG, 0.0, 0.0)  # t too small
+        with pytest.raises(InputError, match="too small: bracket densities leave the tail"):
+            predict_level_envelope(0.4, 1.0, ALG, 0.0, np.array([1.0, 0.0]))
         with pytest.raises(InputError, match=r"epsilon must be in \[0, r\)"):
             predict_level_envelope(0.4, 1.0, ALG, 1.5, 1.0)  # eps >= r

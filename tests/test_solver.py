@@ -156,6 +156,65 @@ class TestCellAverages:
         values = eval_u0(cfg.data, initialize_state(cfg).grid)
         assert initialize_state(cfg, values).values.tobytes() == values.tobytes()
 
+    @staticmethod
+    def steep_cells(data, x_left, tail_average):
+        """(values, expected) of the first solver.REFINED_CELLS cells that
+        reach past the clamp point 0, expected from ``tail_average(c, d)``,
+        the average of u0 over [c, d] right of the clamp point."""
+        cfg = make_config(data=data, x_left=x_left, x_right=5.0)
+        state = initialize_state(cfg)
+        dx = cfg.dx
+        first = int(np.argmax(state.grid + 0.5 * dx > 0.0))
+        cells = range(first, first + solver.REFINED_CELLS)
+        expected = []
+        for k in cells:
+            a, b = state.grid[k] - 0.5 * dx, state.grid[k] + 0.5 * dx
+            lo = max(a, 0.0)
+            expected.append(((lo - a) + (b - lo) * tail_average(lo, b)) / dx)
+        return state.values[first:first + solver.REFINED_CELLS], np.array(expected)
+
+    # x_left = -10 makes the clamp point a cell centre, -2.02 puts it 0.02
+    # right of one, and 0.013 starts the grid past it
+    @pytest.mark.parametrize("x_left", [-10.0, -2.02, 0.013])
+    def test_steep_algebraic_cells_match_closed_form(self, x_left):
+        # u0 = 1/(1 + 100 x) halves within 0.01 < dx; the 2-point rule
+        # alone is up to 2.8e-3 off here
+        a = 100.0
+
+        def tail_average(c, d):
+            return math.log1p(a * (d - c) / (1.0 + a * c)) / (a * (d - c))
+        values, expected = self.steep_cells(algebraic(beta=1.0, scale=a), x_left,
+                                            tail_average)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x_left", [-10.0, -2.02, 0.013])
+    def test_steep_exponential_cells_match_closed_form(self, x_left):
+        mu = 5.0
+
+        def tail_average(c, d):
+            return math.exp(-mu * c) * -math.expm1(-mu * (d - c)) / (mu * (d - c))
+        values, expected = self.steep_cells(sub_exponential(mu=mu, beta=1.0), x_left,
+                                            tail_average)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x_left", [-10.0, -2.02, 0.013])
+    def test_singular_start_matches_graded_reference(self, x_left):
+        # wide_power's data: u0 = exp(-5 x**0.1) has an infinite slope at
+        # the clamp point.  The reference puts 24-point Gauss-Legendre on 30
+        # panels, each a quarter of the one before toward the left end, and
+        # integrates what is left, under 1e-18 of the cell, the same way.
+        data = sub_exponential(mu=5.0, beta=0.1)
+        x, w = np.polynomial.legendre.leggauss(24)
+        right = 0.25 ** np.arange(31)
+        left = np.append(right[1:], 0.0)
+        half = 0.5 * (right - left)[:, None]
+        unit_nodes, unit_weights = (left[:, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+
+        def tail_average(c, d):
+            return float(eval_u0(data, c + (d - c) * unit_nodes) @ unit_weights)
+        values, expected = self.steep_cells(data, x_left, tail_average)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+
 
 class TestImexStep:
     def test_zero_fixed_point(self):
@@ -634,14 +693,15 @@ class TestTracedCallSites:
         assert growths > 0
         # every start from t = 0 checks its initial state and each step's;
         # its first step makes two kernel calls, and its cell averages
-        # evaluate u0 at two nodes per cell, one node at a time
+        # evaluate u0 at two nodes per cell, one node at a time, then at the
+        # graded nodes of the cells next to the clamp point
         steps = counts["imex_step"]
         assert steps > result.diagnostics.n_steps
         assert counts == {
             "imex_step": steps, "eval_f": steps, "theta_step": steps + 1 + growths,
             "maybe_grow_domain": steps + 1 + growths,
             "extract_level_position": steps + 1 + growths,
-            "eval_u0": 2 * (1 + growths),
+            "eval_u0": 3 * (1 + growths),
         }
 
 
