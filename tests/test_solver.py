@@ -202,7 +202,7 @@ class TestCellAverages:
         # wide_power's data: u0 = exp(-5 x**0.1) has an infinite slope at
         # the clamp point.  The reference puts 24-point Gauss-Legendre on 30
         # panels, each a quarter of the one before toward the left end, and
-        # integrates what is left, under 1e-18 of the cell, the same way.
+        # on what is left there, under 1e-18 of the cell.
         data = sub_exponential(mu=5.0, beta=0.1)
         x, w = np.polynomial.legendre.leggauss(24)
         right = 0.25 ** np.arange(31)
