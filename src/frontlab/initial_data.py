@@ -163,10 +163,12 @@ def position_at_phi(spec: InitialDataSpec, phi):
     if arr.size and np.min(arr) < 0.0:
         raise InputError(f"log-transform value must be >= 0, got {np.min(arr)}")
     b = spec.beta
+    # np.power, not **: ** on a numpy scalar calls C pow, so a scalar phi
+    # would round differently from the same phi in an array
     if spec.family is Family.SUB_EXPONENTIAL:
-        out = (arr / spec.mu) ** (1.0 / b)
+        out = np.power(arr / spec.mu, 1.0 / b)
     elif spec.family is Family.ALGEBRAIC:
-        out = (np.expm1(arr) / spec.scale) ** (1.0 / b)
+        out = np.power(np.expm1(arr) / spec.scale, 1.0 / b)
     elif spec.family is Family.ALGEBRAIC_RAW:
         out = np.exp(arr / b)
     else:

@@ -169,3 +169,16 @@ class TestU0Inverse:
         # density e**-900 underflows; the position must still come back finite
         x = position_at_phi(sub_exponential(mu=5.0, beta=0.2), 900.0)
         assert np.isfinite(x) and x == pytest.approx((180.0) ** 5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, phi_max", [
+        (sub_exponential(mu=5.0, beta=0.2), 60.0),
+        (algebraic(beta=0.7), 60.0),
+        (algebraic(beta=1.0), 60.0),
+        (algebraic_raw(beta=1.0), 60.0),
+        (logarithmic(beta=1.0), 6.5),  # exp(exp(phi)) overflows past phi = ln 709
+    ], ids=["sub_exponential", "algebraic_0.7", "algebraic_1", "algebraic_raw", "logarithmic"])
+    def test_scalar_calls_match_the_array_call(self, spec, phi_max):
+        # bit for bit: one rounding whether phi comes alone or in an array
+        phis = np.linspace(0.01, phi_max, 2001)
+        scalars = np.array([position_at_phi(spec, phi) for phi in phis])
+        assert np.array_equal(scalars, position_at_phi(spec, phis))

@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import frontlab
-from frontlab import config, errors, measurement, reaction
+from frontlab import config, errors, measurement, reaction, reporting
 
 DELETED = ("TravelingBound", "min_wave_speed", "traveling_bound",
            "traveling_profile", "traveling_residual",
@@ -39,11 +39,15 @@ DELETED_REACTION = ("BoundViolation", "log_sample_grid", "ReactionKind", "kpp", 
 # the offset scan: the power and exp-power fits take no additive offset
 DELETED_MEASUREMENT = ("OFFSET_GRID_SIZE", "OFFSET_BLOCK_CELLS", "_fit_transformed")
 
+# the forked snapshot writer
+DELETED_REPORTING = ("PARALLEL_ROWS", "_worker_count", "_split", "_write_part")
+
 
 def test_deleted_module_names_gone():
     for module, name in (*((reaction, name) for name in DELETED_REACTION),
                          *((errors, name) for name in DELETED_ERRORS),
-                         *((measurement, name) for name in DELETED_MEASUREMENT)):
+                         *((measurement, name) for name in DELETED_MEASUREMENT),
+                         *((reporting, name) for name in DELETED_REPORTING)):
         assert not hasattr(module, name), name
 
 

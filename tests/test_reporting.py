@@ -1,10 +1,6 @@
 """The chunked CSV writers against the per-row writers they replaced."""
 
 import io
-import os
-import re
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -13,8 +9,7 @@ import pytest
 from frontlab.initial_data import algebraic
 from frontlab.measurement import LevelSetTrace
 from frontlab.reaction import weakly_monostable
-from frontlab import reporting
-from frontlab.reporting import CHUNK_ROWS, PARALLEL_ROWS, write_snapshots_csv, write_trace_csv
+from frontlab.reporting import CHUNK_ROWS, write_snapshots_csv, write_trace_csv
 from frontlab.solver import SimulationConfig, Snapshot, _make_grid, run
 
 EDGE_VALUES = [0.0, 1.0, 5e-324, 1e-300]
@@ -49,37 +44,27 @@ def profile(n: int, seed: int) -> np.ndarray:
     return values
 
 
-def use_cpus(monkeypatch, cpus: int) -> None:
-    """Make the writer see ``cpus`` usable CPUs, whatever the host has."""
-    monkeypatch.setattr(reporting.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the writer processes forked during the test."""
-    pids, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(reporting.os, "fork", fork)
-    return pids
-
-
-def assert_nothing_left(directory) -> None:
-    """No child of this process, reaped or not, and no part file remains."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert not [name for name in os.listdir(directory) if name.endswith(".part")]
-
-
 def assert_same_bytes(tmp_path, snapshots):
     write_snapshots_csv(tmp_path / "chunked.csv", snapshots)
     oracle_snapshots_csv(tmp_path / "oracle.csv", snapshots)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def many_chunk_cases():
+    """Snapshot lists of many chunks, cut where a chunk or a grid ends."""
+    one = 12 * CHUNK_ROWS + CHUNK_ROWS // 2  # 13 chunks, the last a half
+    yield "one snapshot", [Snapshot(2.5, _make_grid(-10.0, 0.05, one), profile(one, 0))]
+    # seven snapshots of three chunks each, the last of one row
+    n = 2 * CHUNK_ROWS + 1
+    grid = _make_grid(-10.0, 0.05, n)
+    yield "21 chunks", [Snapshot(0.5 * k, grid, profile(n, k)) for k in range(7)]
+    small = _make_grid(-10.0, 0.05, 4 * CHUNK_ROWS + 1)
+    wide = _make_grid(-10.0, 0.05, 8 * CHUNK_ROWS + 1)
+    yield "two grids", [Snapshot(t, grid, profile(grid.size, seed)) for seed, (t, grid)
+                        in enumerate(zip(TIMES, (small, small, wide, wide)))]
+
+
+MANY_CHUNK_CASES = dict(many_chunk_cases())
 
 
 class TestSnapshotsCsv:
@@ -128,106 +113,23 @@ class TestSnapshotsCsv:
         assert len({id(snap.grid) for snap in result.snapshots}) == 1
         assert_same_bytes(tmp_path, result.snapshots)
 
-    def test_shared_grid_formatted_without_a_str_per_value(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("case", list(MANY_CHUNK_CASES))
+    def test_many_chunks(self, tmp_path, case):
+        assert_same_bytes(tmp_path, MANY_CHUNK_CASES[case])
+
+    def test_shared_grid_formatted_without_a_str_per_value(self, tmp_path):
         # four wide_power-sized snapshots; a cache of one str per grid value
-        # alone would take about 1.7 MB.  The parent's peak, written alone
-        # and beside one writer process
+        # alone would take about 1.7 MB
         n = 26_090
         grid = _make_grid(-10.0, 0.05, n)
         snapshots = [Snapshot(t, grid, profile(n, seed)) for seed, t in enumerate(TIMES)]
-        for cpus in (1, 2):
-            use_cpus(monkeypatch, cpus)
-            tracemalloc.start()
-            try:
-                write_snapshots_csv(tmp_path / "snapshots.csv", snapshots)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1.5 * 2 ** 20
-
-
-def split_cases():
-    """Snapshot lists of at least 3 * PARALLEL_ROWS rows, so 3 workers split them."""
-    one = 3 * PARALLEL_ROWS + CHUNK_ROWS // 2  # 13 chunks, the last a half
-    yield "one snapshot", [Snapshot(2.5, _make_grid(-10.0, 0.05, one), profile(one, 0))]
-    # seven snapshots of three chunks each, the last of one row
-    n = 2 * CHUNK_ROWS + 1
-    grid = _make_grid(-10.0, 0.05, n)
-    yield "21 chunks", [Snapshot(0.5 * k, grid, profile(n, k)) for k in range(7)]
-    small = _make_grid(-10.0, 0.05, PARALLEL_ROWS + 1)
-    wide = _make_grid(-10.0, 0.05, 2 * PARALLEL_ROWS + 1)
-    yield "two grids", [Snapshot(t, grid, profile(grid.size, seed)) for seed, (t, grid)
-                        in enumerate(zip(TIMES, (small, small, wide, wide)))]
-
-
-SPLIT_CASES = dict(split_cases())
-
-
-class TestSplitWrite:
-    """The writer forked across 1, 2 and 3 CPUs, on any host."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("case", list(SPLIT_CASES))
-    def test_same_bytes_as_the_oracle(self, tmp_path, monkeypatch, forks, case, workers):
-        snapshots = SPLIT_CASES[case]
-        assert sum(snap.grid.size for snap in snapshots) >= 3 * PARALLEL_ROWS
-        use_cpus(monkeypatch, workers)
-        assert_same_bytes(tmp_path, snapshots)
-        assert len(forks) == workers - 1
-        assert_nothing_left(tmp_path)
-
-    @pytest.mark.parametrize("rows, workers", [
-        (2 * PARALLEL_ROWS - 1, 1),
-        (2_404, 1),  # algebraic_sweep's snapshot files
-        (10_404, 2),  # finite_speed's
-        (104_360, 2),  # wide_power's
-    ])
-    def test_worker_count_on_two_cpus(self, monkeypatch, rows, workers):
-        use_cpus(monkeypatch, 2)
-        assert reporting._worker_count(rows) == workers
-
-    def test_failing_child_is_an_oserror_naming_the_path(self, tmp_path, monkeypatch, forks):
-        parent, write_rows = os.getpid(), reporting.write_rows
-
-        def fail_in_child(fh, *columns):
-            if os.getpid() != parent:
-                raise ValueError("formatting failed")
-            write_rows(fh, *columns)
-
-        monkeypatch.setattr(reporting, "write_rows", fail_in_child)
-        use_cpus(monkeypatch, 3)
-        path = tmp_path / "snapshots.csv"
-        with pytest.raises(OSError, match=re.escape(str(path))):
-            write_snapshots_csv(path, SPLIT_CASES["21 chunks"])
-        assert len(forks) == 2
-        assert_nothing_left(tmp_path)
-
-    def test_failing_parent_kills_its_children(self, tmp_path, monkeypatch, forks):
-        parent = os.getpid()
-
-        def fail_in_parent(fh, *columns):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(30)  # only a kill ends the children before the test does
-
-        monkeypatch.setattr(reporting, "write_rows", fail_in_parent)
-        use_cpus(monkeypatch, 3)
-        with pytest.raises(KeyboardInterrupt):
-            write_snapshots_csv(tmp_path / "snapshots.csv", SPLIT_CASES["two grids"])
-        assert len(forks) == 2
-        assert_nothing_left(tmp_path)
-
-    def test_no_fork_beside_a_second_thread(self, tmp_path, monkeypatch, forks):
-        use_cpus(monkeypatch, 3)
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
+        tracemalloc.start()
         try:
-            assert_same_bytes(tmp_path, SPLIT_CASES["one snapshot"])
+            write_snapshots_csv(tmp_path / "snapshots.csv", snapshots)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            stop.set()
-            thread.join(timeout=10)
-        assert forks == []
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
 
 class TestTraceCsv:
