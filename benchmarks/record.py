@@ -20,7 +20,11 @@ importing perfbench's ``run`` pins), and then writes
 - ``commit``, ``dirty`` and ``diff_sha1``: the checked-out commit, whether
   any tracked file other than these BENCH files differs from it, and the
   SHA-1 of that difference (``git diff HEAD``), which names the measured tree;
-- ``tier1``: the suite's wall time and its passed and failed counts.
+- ``tier1``: the suite's wall time and its passed and failed counts;
+- ``host_probe_s``: the seconds a fixed pure-Python integer loop took just
+  before (``before``) and just after (``after``) the workload's runs, so
+  that medians recorded on different days can be read against the host's
+  speed at the time.
 
 Each run is a fresh process, one after another, so run nothing else
 meanwhile.  Committing the files after a change makes ``git log -p
@@ -47,6 +51,8 @@ RUNS = 5
 SEED = 1
 # the recorded files themselves, left out of the tree's identity
 OWN_FILES = ":(exclude)benchmarks/BENCH_*.json"
+# iterations of the host-speed probe's loop (about 0.1 s)
+PROBE_LOOPS = 1_000_000
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -62,6 +68,14 @@ def perfbench(workload: str, seed: int, trace: int) -> tuple[list, dict]:
            "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
     return cmd[1:], json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def host_probe() -> float:
+    start = time.perf_counter()
+    total = 0
+    for i in range(PROBE_LOOPS):
+        total += i * i % 7
+    return time.perf_counter() - start
 
 
 def tier1() -> dict:
@@ -83,8 +97,10 @@ def summarise(values: list[float]) -> dict:
 
 
 def record(workload: str, tests: dict, commit: dict) -> dict:
+    probe_before = host_probe()
     untraced = [perfbench(workload, SEED + i, 0) for i in range(RUNS)]
     traced_cmd, traced = perfbench(workload, SEED, 1)
+    probe_after = host_probe()
     result = json.loads((ROOT / ".perfbench_out" /
                          f"result-{workload}-seed{SEED}-trace1.json").read_text())
     first = untraced[0][1]["metrics"]
@@ -102,6 +118,7 @@ def record(workload: str, tests: dict, commit: dict) -> dict:
             for name in first},
         "per_layer": traced["metrics"],
         "host": result["host"],
+        "host_probe_s": {"before": probe_before, "after": probe_after},
         "tier1": tests,
     }
 

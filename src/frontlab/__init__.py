@@ -16,9 +16,7 @@ from .initial_data import (Family, InitialDataSpec, algebraic, algebraic_raw,
                            eval_phi0, eval_u0, logarithmic, sub_exponential)
 from .measurement import (FitResult, LevelSetTrace, extract_level_position,
                           fit_exp_power, fit_linear, fit_power, select_model)
-from .reaction import (ReactionFamily, ReactionParams,
-                       compare_families_near_zero, eval_f,
-                       verify_hypothesis_bounds, weakly_monostable)
+from .reaction import ReactionFamily, ReactionParams, eval_f, weakly_monostable
 from .solver import (SimState, SimulationConfig, auto_size_domain, imex_step,
                      maybe_grow_domain, run)
 
@@ -29,12 +27,10 @@ __all__ = [
     "ReactionFamily", "ReactionParams", "Regime",
     "RegimeClassification", "SimState", "SimulationConfig",
     "SubsolutionParams", "algebraic", "algebraic_raw",
-    "auto_size_domain", "classify_regime",
-    "compare_families_near_zero", "envelope_derivatives", "eval_f",
+    "auto_size_domain", "classify_regime", "envelope_derivatives", "eval_f",
     "eval_phi0", "eval_u0", "extract_level_position", "fit_exp_power",
     "fit_linear", "fit_power", "imex_step", "logarithmic",
     "maybe_grow_domain", "ode_envelope", "plateau_edge",
     "predict_level_envelope", "run", "select_model",
-    "sub_exponential", "subsolution", "supersolution",
-    "verify_hypothesis_bounds", "weakly_monostable",
+    "sub_exponential", "subsolution", "supersolution", "weakly_monostable",
 ]

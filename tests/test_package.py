@@ -13,7 +13,8 @@ DELETED = ("TravelingBound", "min_wave_speed", "traveling_bound",
            "traveling_profile", "traveling_residual",
            "calibrate_traveling_speed", "saturation_curvature",
            "shifted_supersolution", "tridiagonal_solve", "thomas_solve",
-           "u0_inverse", "check_growth_conditions", "ReactionKind", "kpp", "allee")
+           "u0_inverse", "check_growth_conditions", "ReactionKind", "kpp", "allee",
+           "verify_hypothesis_bounds", "compare_families_near_zero")
 
 
 def test_every_export_resolves():
@@ -32,8 +33,11 @@ DELETED_ERRORS = ("EnvelopeDomainError", "DomainError", "ParameterError",
                   "AnalysisError", "CalibrationError", "NumericalError")
 
 
+# fig1 and ``verify hypothesis`` build their own tables and bounds
 DELETED_REACTION = ("BoundViolation", "log_sample_grid", "ReactionKind", "kpp", "allee",
-                    "_rate_array")
+                    "_rate_array", "percapita_bound", "HypothesisReport",
+                    "verify_hypothesis_bounds", "FamilyComparison",
+                    "compare_families_near_zero")
 
 
 # the offset scan: the power and exp-power fits take no additive offset
@@ -49,6 +53,8 @@ def test_deleted_module_names_gone():
                          *((measurement, name) for name in DELETED_MEASUREMENT),
                          *((reporting, name) for name in DELETED_REPORTING)):
         assert not hasattr(module, name), name
+    # the reaction is evaluated by eval_f only, not called as a function
+    assert "__call__" not in vars(frontlab.ReactionFamily)
 
 
 def test_fits_take_no_offset():

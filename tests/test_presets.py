@@ -11,7 +11,7 @@ from frontlab.initial_data import Family, sub_exponential
 from frontlab.presets import (FIG9_CURVES, PRESETS, _subexp_panel,
                               available_presets, get_preset, run_bundle,
                               run_preset)
-from frontlab.reaction import weakly_monostable
+from frontlab.reaction import eval_f, weakly_monostable
 from frontlab.solver import SimulationConfig
 
 
@@ -87,13 +87,23 @@ class TestCatalog:
 
 class TestTablePresets:
     def test_fig1_bundle(self, tmp_path):
-        out = run_preset("fig1", out_root=str(tmp_path), log=lambda *_: None)
+        messages = []
+        run_preset("fig1", out_root=str(tmp_path), log=messages.append)
         lines = (tmp_path / "fig1" / "families.csv").read_text().splitlines()
         assert lines[0] == "s,percapita_kpp,percapita_weak,percapita_allee,f_kpp,f_weak,f_allee"
         assert len(lines) == 401
-        first = [float(v) for v in lines[1].split(",")]
-        # near zero: KPP per-capita ~ r, the other two collapse
-        assert first[1] > first[2] > first[3]
+        columns = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+        # KPP and Allee in closed form, the weakly monostable rate by eval_f
+        r, alpha = 1.0, 0.4
+        s = np.geomspace(1e-8, 0.5, 400)
+        f = [r * s * (1.0 - s), eval_f(weakly_monostable(alpha, r), s),
+             r * s ** (alpha + 1.0) * (1.0 - s)]
+        expected = [s, *(fi / s for fi in f), *f]
+        for name, got, want in zip(lines[0].split(","), columns, expected):
+            assert got.tobytes() == want.tobytes(), name
+        kpp, weak, allee = columns[1:4]
+        assert np.all(kpp > weak) and np.all(weak > allee)
+        assert messages == ["fig1: per-capita ordering holds on 400 samples: True"]
         assert (tmp_path / "fig1" / "plot.gp").exists()
 
     def test_fig2_bundle(self, tmp_path):

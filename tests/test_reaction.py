@@ -1,14 +1,14 @@
-"""Reaction-term evaluators and the per-capita bound checks."""
+"""The reaction rate and the per-capita bound check of ``verify hypothesis``."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frontlab import verify
 from frontlab.errors import InputError
-from frontlab.reaction import (UNDERFLOW_CUTOFF, ReactionParams,
-                               compare_families_near_zero, eval_f,
-                               verify_hypothesis_bounds, weakly_monostable)
+from frontlab.reaction import (UNDERFLOW_CUTOFF, ReactionParams, eval_f,
+                               weakly_monostable)
 
 # 0, subnormals, the smallest normal, the underflow cutoff and its
 # neighbours, and values at and next to 1
@@ -35,15 +35,16 @@ class TestEvalF:
     def test_zero_at_endpoints_all_families(self):
         assert eval_f(weakly_monostable(0.4), 0.0) == 0.0
         assert eval_f(weakly_monostable(0.4), 1.0) == 0.0
-        # the closed-form KPP and Allee columns of fig1 as well
-        comp = compare_families_near_zero(ReactionParams(alpha=0.4), np.array([0.0, 1.0]))
-        for f in (comp.f_kpp, comp.f_weak, comp.f_allee):
-            assert f.tolist() == [0.0, 0.0]
 
     def test_weakly_monostable_midpoint(self):
         # 0.25/(1+ln 2)**0.4 evaluated with mpmath at 40 digits
         got = eval_f(weakly_monostable(0.4), 0.5)
         assert got == pytest.approx(0.20251729781491596856, rel=1e-14)
+
+    def test_tiny_density_percapita(self):
+        # (1 - 1e-6)/(1 + 6 ln 10)**0.5, mpmath at 40 digits
+        got = eval_f(weakly_monostable(0.5), 1e-6) / 1e-6
+        assert got == pytest.approx(0.25980126091985414, rel=1e-13)
 
     def test_underflow_guard_exact_zero(self):
         wm = weakly_monostable(0.4)
@@ -174,64 +175,22 @@ class TestAlphaMonotonicity:
         assert np.all(high < low)
 
 
-class TestVerifyHypothesisBounds:
-    # the grid of ``frontlab verify hypothesis``
-    GRID = np.geomspace(1e-12, 1.0 - 1e-12, 10_000)
+class TestVerifyHypothesis:
+    @staticmethod
+    def outcomes():
+        return [(c.passed, c.measured) for c in verify.verify_hypothesis()]
 
-    def test_default_family_passes(self):
-        params = ReactionParams(r=1.0, alpha=0.4)
-        report = verify_hypothesis_bounds(params, weakly_monostable(0.4), self.GRID)
-        assert report.passed
-        assert report.n_checked == 10_000
-
-    def test_double_rate_fails_near_one(self):
-        params = ReactionParams(r=1.0, alpha=0.4)
-        report = verify_hypothesis_bounds(params, lambda s: 2.0 * s, self.GRID)
-        assert not report.upper_ok and report.lower_ok
-        # the samples nearest 1, where |ln s| ~ 0, are enough to fail it
-        near_one = verify_hypothesis_bounds(params, lambda s: 2.0 * s, self.GRID[-10:])
-        assert not near_one.upper_ok
-
-    def test_half_rate_fails_lower_bound(self):
-        params = ReactionParams(r=1.0, alpha=0.4)
-        family = weakly_monostable(0.4)
-        report = verify_hypothesis_bounds(params, lambda s: 0.5 * family(s), self.GRID)
-        assert report.upper_ok and not report.lower_ok
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(InputError):
-            verify_hypothesis_bounds(ReactionParams(1.0, 0.4), lambda s: s, [])
-
-    def test_grid_outside_unit_interval_rejected(self):
-        with pytest.raises(InputError):
-            verify_hypothesis_bounds(ReactionParams(1.0, 0.4), lambda s: s, [0.5, 1.0])
-
-
-class TestCompareFamilies:
-    def test_tiny_density_values(self):
-        # (1 - 1e-6)/(1 + 6 ln 10)**0.5 and sqrt(1e-6)*(1 - 1e-6), mpmath 40 digits
-        comp = compare_families_near_zero(ReactionParams(r=1.0, alpha=0.5),
-                                          np.array([1e-6]))
-        assert comp.percapita_kpp[0] == pytest.approx(1.0 - 1e-6, rel=1e-14)
-        assert comp.percapita_weak[0] == pytest.approx(0.25980126091985414, rel=1e-13)
-        assert comp.percapita_allee[0] == pytest.approx(9.99999e-4, rel=1e-13)
-        assert comp.ordering_ok
-
-    def test_ordering_on_range(self):
-        s = np.geomspace(1e-10, 0.5, 400)
-        comp = compare_families_near_zero(ReactionParams(r=1.3, alpha=0.7), s)
-        assert comp.ordering_ok
-        assert np.all(comp.percapita_kpp > comp.percapita_weak)
-        assert np.all(comp.percapita_weak > comp.percapita_allee)
-
-    def test_at_one_all_zero(self):
-        comp = compare_families_near_zero(ReactionParams(r=1.0, alpha=0.5),
-                                          np.array([1.0]))
-        assert comp.f_kpp[0] == comp.f_weak[0] == comp.f_allee[0] == 0.0
-
-    def test_rows_tabular(self):
-        comp = compare_families_near_zero(ReactionParams(r=1.0, alpha=0.5),
-                                          np.array([0.1, 0.2]))
-        rows = list(comp.rows())
-        assert len(rows) == 2
-        assert len(rows[0]) == 7
+    def test_each_failed_bound_counts_once(self, monkeypatch):
+        assert self.outcomes() == [(True, 0.0)] * 3
+        # 2s is above the upper bound r*s/(1+|ln s|)**alpha everywhere, and
+        # so above the lower one: only the upper bound fails
+        monkeypatch.setattr(verify, "eval_f", lambda family, s: 2.0 * s)
+        assert self.outcomes() == [(False, 1.0)] * 3
+        # half the rate is below the lower bound, which the rate meets
+        # exactly, and below the upper one: only the lower bound fails
+        monkeypatch.setattr(verify, "eval_f", lambda family, s: 0.5 * eval_f(family, s))
+        assert self.outcomes() == [(False, 1.0)] * 3
+        # both at once count two
+        monkeypatch.setattr(verify, "eval_f", lambda family, s: np.where(
+            s > 0.5, 2.0 * s, 0.5 * eval_f(family, s)))
+        assert self.outcomes() == [(False, 2.0)] * 3
