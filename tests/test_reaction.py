@@ -175,22 +175,36 @@ class TestAlphaMonotonicity:
         assert np.all(high < low)
 
 
-class TestVerifyHypothesis:
+class TestVerifyHypothesisBounds:
+    """``verify hypothesis`` with its rate swapped for a wrong one."""
+
     @staticmethod
     def outcomes():
         return [(c.passed, c.measured) for c in verify.verify_hypothesis()]
 
-    def test_each_failed_bound_counts_once(self, monkeypatch):
-        assert self.outcomes() == [(True, 0.0)] * 3
+    def test_default_family_passes(self):
+        checks = verify.verify_hypothesis()
+        assert [(c.passed, c.measured) for c in checks] == [(True, 0.0)] * 3
+        assert all(c.detail == "10000 samples" for c in checks)
+
+    def test_double_rate_fails_near_one(self, monkeypatch):
         # 2s is above the upper bound r*s/(1+|ln s|)**alpha everywhere, and
         # so above the lower one: only the upper bound fails
         monkeypatch.setattr(verify, "eval_f", lambda family, s: 2.0 * s)
         assert self.outcomes() == [(False, 1.0)] * 3
+        # the 10 samples nearest 1, where |ln s| ~ 0, are enough to fail it
+        monkeypatch.setattr(verify, "eval_f", lambda family, s: np.where(
+            s >= s[-10], 2.0 * s, eval_f(family, s)))
+        assert self.outcomes() == [(False, 1.0)] * 3
+
+    def test_half_rate_fails_lower_bound(self, monkeypatch):
         # half the rate is below the lower bound, which the rate meets
         # exactly, and below the upper one: only the lower bound fails
         monkeypatch.setattr(verify, "eval_f", lambda family, s: 0.5 * eval_f(family, s))
         assert self.outcomes() == [(False, 1.0)] * 3
-        # both at once count two
+
+    def test_each_failed_bound_counts_once(self, monkeypatch):
+        # both bounds failing, each on many samples, count two
         monkeypatch.setattr(verify, "eval_f", lambda family, s: np.where(
             s > 0.5, 2.0 * s, 0.5 * eval_f(family, s)))
         assert self.outcomes() == [(False, 2.0)] * 3
